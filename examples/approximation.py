@@ -22,7 +22,6 @@ import argparse
 
 import numpy as np
 
-from repro.core.distributed import LocalDriver
 from repro.core.preconditioner import KFAC
 from repro.experiments.approx_exp import run_approximation_sweep
 from repro.nn import Linear, Sequential
@@ -41,7 +40,6 @@ def drift_demo(drift_tol: float, steps: int = 10) -> None:
         model, damping=0.01, kfac_update_freq=1, fac_update_freq=1, lr=0.1,
         diag_blocks=4, diag_warmup=1, drift_tol=drift_tol, adapt_damping=True,
     )
-    driver = LocalDriver(kfac)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     loss_fn = CrossEntropyLoss()
 
@@ -51,7 +49,7 @@ def drift_demo(drift_tol: float, steps: int = 10) -> None:
         opt.zero_grad()
         loss = loss_fn(model(x), y)
         model.backward(loss_fn.backward())
-        driver.step()
+        kfac.step()
         opt.step()
         rows.append(
             [

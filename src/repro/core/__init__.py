@@ -57,7 +57,6 @@ from repro.core.preconditioner import (
     KFACHyperParams,
 )
 from repro.core.distributed import (
-    LocalDriver,
     PhaseController,
     SPMDDriver,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "COMM_OPT",
     "LAYER_WISE",
     "HYBRID",
-    "LocalDriver",
     "PhaseController",
     "SPMDDriver",
     "KFACParamScheduler",

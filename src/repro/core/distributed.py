@@ -1,28 +1,33 @@
 """Drivers binding the K-FAC step generator to a communication substrate.
 
-Three drivers, one algorithm:
+Two drivers, one algorithm, one protocol:
 
-- :class:`LocalDriver` — world of one; requests are satisfied locally.
 - :class:`PhaseController` — lockstep execution of P replicas' step
   generators against a :class:`repro.comm.World` (deterministic; used by
-  the data-parallel trainer and all experiments).  AllReduce requests are
-  fused into a single flat ring-allreduce per matched request, reproducing
+  the data-parallel trainer and all experiments).  Each matched allreduce
+  launch is fused into a single flat ring-allreduce, reproducing
   Horovod's fusion-buffer behaviour for factor communication.
 - :class:`SPMDDriver` — executes a single rank's generator inside a
   threaded SPMD program via matched named collectives (what the
   Listing 1-style quickstart uses).
 
-All three understand both step-generator protocols from
-:mod:`repro.core.comm_ops`: the blocking request/response protocol and the
-pipelined launch/wait protocol (``scheduler="graph"``), where factor
-allreduces run asynchronously while the generator eigendecomposes
-already-reduced factors and the driver credits that compute as hidden
-communication time.
+Both speak the launch/wait protocol of :mod:`repro.core.comm_ops`: a
+launch starts a collective, and the matching wait settles it, crediting
+the compute the generator reports as hidden communication time (zero for
+a blocking collective).  A world of one needs no driver:
+``KFAC.step()`` runs the generator directly.
+
+Failed collectives are retried by one helper shared by both drivers
+(:meth:`_RetryingDriver._with_retry`).  It runs where each substrate
+posts: at the launch on the phase-style ``World``, whose collectives move
+data eagerly, and at the wait for SPMD, whose matched post is deferred
+until then.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Sequence
+from functools import partial
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -32,13 +37,9 @@ from repro.comm.handles import Handle, LaunchedHandle
 from repro.comm.horovod import HorovodContext
 from repro.core.comm_ops import (
     AllGatherLaunch,
-    AllGatherRequest,
     AllReduceLaunch,
-    AllReduceRequest,
     GroupAllGatherLaunch,
-    GroupAllGatherRequest,
     GroupBroadcastLaunch,
-    GroupBroadcastRequest,
     WaitRequest,
     pack_arrays,
     unpack_arrays,
@@ -46,36 +47,7 @@ from repro.core.comm_ops import (
 from repro.core.preconditioner import KFAC
 from repro.utils.logging import NULL_LOGGER, Logger
 
-__all__ = ["LocalDriver", "PhaseController", "SPMDDriver"]
-
-
-class LocalDriver:
-    """Drive one KFAC instance with no communication (world of one).
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.core.distributed import LocalDriver
-    >>> from repro.core.preconditioner import KFAC
-    >>> from repro.nn import Linear, Sequential
-    >>> from repro.nn.loss import CrossEntropyLoss
-    >>> model = Sequential(Linear(4, 3))
-    >>> driver = LocalDriver(KFAC(model, kfac_update_freq=1))
-    >>> loss_fn = CrossEntropyLoss()
-    >>> _ = loss_fn(model(np.ones((4, 4), dtype=np.float32)), np.arange(4) % 3)
-    >>> _ = model.backward(loss_fn.backward())
-    >>> driver.step()
-    >>> driver.kfac.steps
-    1
-    """
-
-    def __init__(self, kfac: KFAC) -> None:
-        if kfac.world_size != 1:
-            raise ValueError("LocalDriver requires world_size == 1")
-        self.kfac = kfac
-
-    def step(self) -> None:
-        self.kfac.step()
+__all__ = ["PhaseController", "SPMDDriver"]
 
 
 def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | None:
@@ -86,13 +58,110 @@ def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | No
         return None
 
 
-class PhaseController:
+class _RetryingDriver:
+    """Bounded retry-with-backoff shared by both drivers.
+
+    ``ranks`` are the ranks the driver speaks for: every rank for the
+    phase controller, its own rank for an SPMD driver.  The world delivers
+    an injected failure to every posting rank in lockstep, so all ranks
+    retry the same number of times and (SPMD) their matched-op generation
+    counters stay aligned.
+    """
+
+    def __init__(
+        self,
+        world: World,
+        ranks: Sequence[int],
+        retry_policy: RetryPolicy | None,
+        logger: Logger,
+    ) -> None:
+        self.world = world
+        self._ranks = tuple(ranks)
+        #: bounded retry-with-backoff for failed collectives; ``None``
+        #: propagates the first :class:`CollectiveError` unchanged
+        self.retry_policy = retry_policy
+        #: degraded-path events (retries, fallbacks) surface as warnings
+        self.logger = logger
+        self.comm_retries = 0
+        self.comm_fallbacks = 0
+
+    def _with_retry(
+        self,
+        phase: str,
+        attempt_fn: Callable[[], Any],
+        group: tuple[int, ...] | None = None,
+    ) -> Any:
+        """Run a collective with bounded retry-with-backoff.
+
+        Returns the collective's result, or a :class:`CollectiveFailed`
+        sentinel when the retry budget is exhausted on a degradable phase
+        (the step generator then falls back to stale state); re-raises on
+        any other phase.  ``group`` is the op's member ranks (``None``:
+        the whole world).  Backoff seconds are charged to the
+        ``retry_backoff`` ledger phase by the op's owner, its first
+        member, only, since the world ledger is shared; each
+        retry/fallback is warned through ``self.logger`` and marked on the
+        trace of every member the driver speaks for.
+        """
+        policy = self.retry_policy
+        tracer = self.world.tracer
+        attempt = 0
+        while True:
+            try:
+                return attempt_fn()
+            except CollectiveError as exc:
+                if policy is None:
+                    raise
+                owner = 0 if group is None else group[0]
+                marked = [r for r in self._ranks if group is None or r in group]
+                if attempt < policy.max_retries:
+                    backoff = policy.backoff(attempt)
+                    if owner in self._ranks:
+                        self.world.timers.charge("retry_backoff", backoff)
+                        self.world.overlap.record("retry_backoff", backoff, 0.0)
+                    self.comm_retries += 1
+                    attempt += 1
+                    self.logger.warn(
+                        f"{phase}: collective failed ({exc}); retry "
+                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
+                    )
+                    if tracer.enabled:
+                        for r in marked:
+                            tracer.instant(
+                                f"retry:{phase}", "fault", r,
+                                attrs={"attempt": attempt},
+                            )
+                            tracer.span(
+                                "retry_backoff", "comm", r, backoff,
+                                attrs={
+                                    "exposed": backoff,
+                                    "hidden": 0.0,
+                                    "bytes": 0.0,
+                                    "retry_of": phase,
+                                    "owner": r == owner,
+                                },
+                            )
+                    continue
+                if phase in policy.fallback_phases:
+                    self.comm_fallbacks += 1
+                    self.logger.warn(
+                        f"{phase}: retries exhausted ({exc}); falling back "
+                        "to stale state"
+                    )
+                    if tracer.enabled:
+                        for r in marked:
+                            tracer.instant(f"fallback:{phase}", "fault", r)
+                    return CollectiveFailed(phase=phase, error=exc)
+                raise
+
+
+class PhaseController(_RetryingDriver):
     """Lockstep driver for P replicas' preconditioners over one World.
 
     All replicas must be configured with the same hyper-parameters and
     ``world_size == world.size`` and ``rank == index``; the controller
     matches their yielded requests step by step and executes each matched
-    request as one fused collective.
+    launch as one fused collective.
 
     Example
     -------
@@ -133,89 +202,21 @@ class PhaseController:
                     f"replica {i} has rank/world {k.rank}/{k.world_size}, "
                     f"expected {i}/{world.size}"
                 )
+        super().__init__(world, range(world.size), retry_policy, logger)
         self.kfacs = list(kfacs)
-        self.world = world
-        #: bounded retry-with-backoff for failed collectives; ``None``
-        #: propagates the first :class:`CollectiveError` unchanged
-        self.retry_policy = retry_policy
-        #: degraded-path events (retries, fallbacks) surface as warnings
-        self.logger = logger
-        self.comm_retries = 0
-        self.comm_fallbacks = 0
-
-    def _with_retry(self, phase: str, attempt_fn: Any) -> Any:
-        """Run a collective with bounded retry-with-backoff.
-
-        Returns the collective's result, or a :class:`CollectiveFailed`
-        sentinel when the retry budget is exhausted on a degradable phase
-        (the step generator then falls back to stale state); re-raises on
-        any other phase.  Backoff seconds are charged to the
-        ``retry_backoff`` timer phase so degraded steps are visible in the
-        simulated time ledger; each retry/fallback is warned through
-        ``self.logger`` and marked on the trace.
-        """
-        policy = self.retry_policy
-        tracer = self.world.tracer
-        attempt = 0
-        while True:
-            try:
-                return attempt_fn()
-            except CollectiveError as exc:
-                if policy is None:
-                    raise
-                if attempt < policy.max_retries:
-                    backoff = policy.backoff(attempt)
-                    self.world.timers.charge("retry_backoff", backoff)
-                    self.world.overlap.record("retry_backoff", backoff, 0.0)
-                    self.comm_retries += 1
-                    attempt += 1
-                    self.logger.warn(
-                        f"{phase}: collective failed ({exc}); retry "
-                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
-                    )
-                    if tracer.enabled:
-                        for r in range(self.world.size):
-                            tracer.instant(
-                                f"retry:{phase}", "fault", r,
-                                attrs={"attempt": attempt},
-                            )
-                            tracer.span(
-                                "retry_backoff", "comm", r, backoff,
-                                attrs={
-                                    "exposed": backoff,
-                                    "hidden": 0.0,
-                                    "bytes": 0.0,
-                                    "retry_of": phase,
-                                    "owner": r == 0,
-                                },
-                            )
-                    continue
-                if phase in policy.fallback_phases:
-                    self.comm_fallbacks += 1
-                    self.logger.warn(
-                        f"{phase}: retries exhausted ({exc}); falling back "
-                        "to stale state"
-                    )
-                    if tracer.enabled:
-                        for r in range(self.world.size):
-                            tracer.instant(f"fallback:{phase}", "fault", r)
-                    return CollectiveFailed(phase=phase, error=exc)
-                raise
 
     def step(self) -> None:
         """Execute one K-FAC step on every replica, in lockstep.
 
-        Handles both the synchronous protocol (AllReduce/AllGather
-        requests, resolved immediately) and the pipelined protocol
-        (Launch requests answered with ``None`` while the collective runs
-        asynchronously; the matching WaitRequest settles it with the
-        minimum compute-overlap budget across replicas — the
-        least-overlapped rank sets the barrier).
+        A launch runs its collective (the world moves the data eagerly)
+        and is answered with ``None``; the matching WaitRequest settles its
+        simulated time with the minimum compute-overlap budget across
+        replicas — the least-overlapped rank sets the barrier.
         """
         gens = [k.step_generator() for k in self.kfacs]
         requests = [_advance(g, first=True) for g in gens]
-        # tag -> (handle, finalize(raw) -> per-rank responses, member ranks
-        # whose compute budgets bound the hidden time, or None for all)
+        # tag -> (handle, allreduce shapes or None, member ranks whose
+        # compute budgets bound the hidden time, or None for all)
         pending: dict[str, tuple[Handle, Any, tuple[int, ...] | None]] = {}
         while any(r is not None for r in requests):
             kinds = {type(r) for r in requests}
@@ -223,101 +224,13 @@ class PhaseController:
                 raise RuntimeError(
                     f"replicas diverged: mixed requests {[type(r).__name__ for r in requests]}"
                 )
-            first = requests[0]
-            if isinstance(first, AllReduceRequest):
-                responses = self._run_allreduce(requests)  # type: ignore[arg-type]
-            elif isinstance(first, AllGatherRequest):
-                responses = self._run_allgather(requests)  # type: ignore[arg-type]
-            elif isinstance(first, GroupAllGatherRequest):
-                responses = self._run_group_allgather(requests)  # type: ignore[arg-type]
-            elif isinstance(first, GroupBroadcastRequest):
-                responses = self._run_group_broadcast(requests)  # type: ignore[arg-type]
-            elif isinstance(
-                first,
-                (AllReduceLaunch, AllGatherLaunch, GroupAllGatherLaunch, GroupBroadcastLaunch),
-            ):
-                responses = self._launch(requests, pending)  # type: ignore[arg-type]
-            elif isinstance(first, WaitRequest):
+            if isinstance(requests[0], WaitRequest):
                 responses = self._wait(requests, pending)  # type: ignore[arg-type]
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown request type {type(first)}")
+            else:
+                responses = self._launch(requests, pending)
             requests = [_advance(g, resp) for g, resp in zip(gens, responses)]
         if pending:  # pragma: no cover - defensive
             raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
-
-    def _run_allreduce(self, reqs: list[AllReduceRequest]) -> list[list[np.ndarray]]:
-        shapes = [t.shape for t in reqs[0].tensors]
-        for r, req in enumerate(reqs):
-            if [t.shape for t in req.tensors] != shapes:
-                raise RuntimeError(f"rank {r} allreduce shapes diverged")
-        fused = [pack_arrays(req.tensors) for req in reqs]
-        reduced = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.allreduce(
-                fused, op=reqs[0].op, phase=reqs[0].phase, codec=reqs[0].comm_dtype
-            ),
-        )
-        if isinstance(reduced, CollectiveFailed):
-            return [reduced] * len(reqs)
-        return [unpack_arrays(flat, shapes) for flat in reduced]
-
-    def _run_allgather(self, reqs: list[AllGatherRequest]) -> list[list[np.ndarray]]:
-        contributions = [req.tensor for req in reqs]
-        gathered = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.allgather(contributions, phase=reqs[0].phase),
-        )
-        if isinstance(gathered, CollectiveFailed):
-            return [gathered] * len(reqs)
-        return gathered
-
-    def _run_group_allgather(
-        self, reqs: list[GroupAllGatherRequest]
-    ) -> list[list[np.ndarray] | None]:
-        """Group allgather: members contribute/receive, others get None."""
-        groups = {req.ranks for req in reqs}
-        if len(groups) != 1:
-            raise RuntimeError(f"replicas diverged: mixed groups {sorted(groups)}")
-        ranks = reqs[0].ranks
-        for r, req in enumerate(reqs):
-            if (req.tensor is None) != (r not in ranks):
-                raise RuntimeError(
-                    f"rank {r}: group-allgather contribution does not match "
-                    f"membership of group {ranks}"
-                )
-        gathered = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.group_allgather(
-                [reqs[r].tensor for r in ranks], ranks, phase=reqs[0].phase
-            ),
-        )
-        if isinstance(gathered, CollectiveFailed):
-            # every replica (members and non-members) observes the failure
-            # so the stale-state ledgers stay in lockstep
-            return [gathered] * len(reqs)
-        by_rank = dict(zip(ranks, gathered))
-        return [by_rank.get(r) for r in range(len(reqs))]
-
-    def _run_group_broadcast(
-        self, reqs: list[GroupBroadcastRequest]
-    ) -> list[np.ndarray | None]:
-        """Group-rooted broadcast: listed ranks receive, others get None."""
-        keys = {(req.root, req.ranks) for req in reqs}
-        if len(keys) != 1:
-            raise RuntimeError(f"replicas diverged: mixed broadcast groups {sorted(keys)}")
-        root, ranks = reqs[0].root, reqs[0].ranks
-        if reqs[root].tensor is None:
-            raise RuntimeError(f"broadcast root {root} provided no tensor")
-        out = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.group_broadcast(
-                reqs[root].tensor, root, ranks, phase=reqs[0].phase
-            ),
-        )
-        if isinstance(out, CollectiveFailed):
-            return [out] * len(reqs)
-        by_rank = dict(zip(ranks, out))
-        return [by_rank.get(r) for r in range(len(reqs))]
 
     def _launch(
         self,
@@ -327,101 +240,92 @@ class PhaseController:
         tags = {req.tag for req in reqs}
         if len(tags) != 1:
             raise RuntimeError(f"replicas diverged: mixed launch tags {sorted(tags)}")
-        tag = reqs[0].tag
+        first = reqs[0]
+        tag, phase = first.tag, first.phase
         if tag in pending:
             raise RuntimeError(f"duplicate launch tag {tag!r} within one step")
-        if isinstance(reqs[0], AllReduceLaunch):
-            shapes = [t.shape for t in reqs[0].tensors]
+        shapes = members = None
+        if isinstance(first, AllReduceLaunch):
+            shapes = [t.shape for t in first.tensors]
             for r, req in enumerate(reqs):
                 if [t.shape for t in req.tensors] != shapes:
                     raise RuntimeError(f"rank {r} launch {tag!r} shapes diverged")
-            fused = [pack_arrays(req.tensors) for req in reqs]
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.allreduce_async(
-                    fused, op=reqs[0].op, phase=reqs[0].phase, codec=reqs[0].comm_dtype
-                ),
+            attempt = partial(
+                self.world.allreduce_async,
+                [pack_arrays(req.tensors) for req in reqs],
+                op=first.op,
+                phase=phase,
+                codec=first.comm_dtype,
             )
-            finalize = lambda result: [unpack_arrays(flat, shapes) for flat in result]  # noqa: E731
-            pending[tag] = (handle, finalize, None)
-        elif isinstance(reqs[0], AllGatherLaunch):
-            contributions = [req.tensor for req in reqs]
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.allgather_async(contributions, phase=reqs[0].phase),
+        elif isinstance(first, AllGatherLaunch):
+            attempt = partial(
+                self.world.allgather_async, [req.tensor for req in reqs], phase=phase
             )
-            pending[tag] = (handle, lambda result: result, None)
-        elif isinstance(reqs[0], GroupAllGatherLaunch):
+        elif isinstance(first, GroupAllGatherLaunch):
             groups = {req.ranks for req in reqs}
             if len(groups) != 1:
                 raise RuntimeError(f"replicas diverged: mixed groups {sorted(groups)}")
-            ranks = reqs[0].ranks
+            members = first.ranks
             for r, req in enumerate(reqs):
-                if (req.tensor is None) != (r not in ranks):
+                if (req.tensor is None) != (r not in members):
                     raise RuntimeError(
                         f"rank {r}: group-allgather launch {tag!r} contribution "
-                        f"does not match membership of group {ranks}"
+                        f"does not match membership of group {members}"
                     )
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.group_allgather_async(
-                    [reqs[r].tensor for r in ranks], ranks, phase=reqs[0].phase
-                ),
+            attempt = partial(
+                self.world.group_allgather_async,
+                [reqs[r].tensor for r in members],
+                members,
+                phase=phase,
             )
-
-            def finalize(result, ranks=ranks, n=len(reqs)):
-                by_rank = dict(zip(ranks, result))
-                return [by_rank.get(r) for r in range(n)]
-
-            pending[tag] = (handle, finalize, ranks)
-        else:
+        elif isinstance(first, GroupBroadcastLaunch):
             keys = {(req.root, req.ranks) for req in reqs}
             if len(keys) != 1:
                 raise RuntimeError(f"replicas diverged: mixed broadcast groups {sorted(keys)}")
-            root, ranks = reqs[0].root, reqs[0].ranks
+            root, members = first.root, first.ranks
             if reqs[root].tensor is None:
                 raise RuntimeError(f"broadcast root {root} provided no tensor")
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.group_broadcast_async(
-                    reqs[root].tensor, root, ranks, phase=reqs[0].phase
-                ),
+            attempt = partial(
+                self.world.group_broadcast_async, reqs[root].tensor, root, members, phase=phase
             )
-
-            def finalize(result, ranks=ranks, n=len(reqs)):
-                by_rank = dict(zip(ranks, result))
-                return [by_rank.get(r) for r in range(n)]
-
-            pending[tag] = (handle, finalize, ranks)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown request type {type(first)}")
+        pending[tag] = (self._with_retry(phase, attempt, members), shapes, members)
         return [None] * len(reqs)
 
     def _wait(
         self,
         reqs: list[WaitRequest],
         pending: dict[str, tuple[Handle, Any, tuple[int, ...] | None]],
-    ) -> list[list[np.ndarray]]:
+    ) -> list[Any]:
         tags = {req.tag for req in reqs}
         if len(tags) != 1:
             raise RuntimeError(f"replicas diverged: mixed wait tags {sorted(tags)}")
         tag = reqs[0].tag
         if tag not in pending:
             raise RuntimeError(f"wait on unknown tag {tag!r} (never launched?)")
-        handle, finalize, member_ranks = pending.pop(tag)
+        handle, shapes, members = pending.pop(tag)
         if isinstance(handle, CollectiveFailed):
             # the launch failed past the retry budget: every replica gets
             # the sentinel so the stale-state ledgers stay in lockstep
             return [handle] * len(reqs)
         # only participating ranks' compute can hide a group op's cost
         budgets = (
-            [reqs[r].compute_seconds for r in member_ranks]
-            if member_ranks is not None
+            [reqs[r].compute_seconds for r in members]
+            if members is not None
             else [req.compute_seconds for req in reqs]
         )
         result = handle.wait(min(budgets))
-        return finalize(result)
+        if shapes is not None:
+            return [unpack_arrays(flat, shapes) for flat in result]
+        if members is not None:
+            # group members receive their copy, everyone else None
+            by_rank = dict(zip(members, result))
+            return [by_rank.get(r) for r in range(len(reqs))]
+        return result
 
 
-class SPMDDriver:
+class SPMDDriver(_RetryingDriver):
     """Per-rank driver using matched named collectives (threaded SPMD).
 
     Example
@@ -459,213 +363,81 @@ class SPMDDriver:
             )
         if kfac.rank != hvd.rank():
             raise ValueError(f"KFAC rank {kfac.rank} != hvd rank {hvd.rank()}")
+        super().__init__(hvd._view.world, (kfac.rank,), retry_policy, logger)
         self.kfac = kfac
         self.hvd = hvd
-        self.retry_policy = retry_policy
-        #: degraded-path events (retries, fallbacks) surface as warnings
-        self.logger = logger
-        self.comm_retries = 0
-        self.comm_fallbacks = 0
-
-    def _with_retry(self, phase: str, attempt_fn: Any) -> Any:
-        """Per-rank bounded retry (see :meth:`PhaseController._with_retry`).
-
-        The world distributes an injected failure to *every* posting rank
-        in lockstep, so all members retry the same number of times and
-        their matched-op generation counters stay aligned.  Backoff time
-        is charged by rank 0 only (the world ledger is shared); each rank
-        warns through its own ``logger`` and marks its own trace track.
-        """
-        policy = self.retry_policy
-        tracer = self.hvd._view.world.tracer
-        attempt = 0
-        while True:
-            try:
-                return attempt_fn()
-            except CollectiveError as exc:
-                if policy is None:
-                    raise
-                ph = phase if phase is not None else (exc.phase or "")
-                if attempt < policy.max_retries:
-                    backoff = policy.backoff(attempt)
-                    if self.kfac.rank == 0:
-                        world = self.hvd._view.world
-                        world.timers.charge("retry_backoff", backoff)
-                        world.overlap.record("retry_backoff", backoff, 0.0)
-                        if tracer.enabled:
-                            tracer.span(
-                                "retry_backoff", "comm", 0, backoff,
-                                attrs={
-                                    "exposed": backoff,
-                                    "hidden": 0.0,
-                                    "bytes": 0.0,
-                                    "retry_of": ph,
-                                    "owner": True,
-                                },
-                            )
-                    self.comm_retries += 1
-                    attempt += 1
-                    self.logger.warn(
-                        f"{ph}: collective failed ({exc}); retry "
-                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
-                    )
-                    if tracer.enabled:
-                        tracer.instant(
-                            f"retry:{ph}", "fault", self.kfac.rank,
-                            attrs={"attempt": attempt},
-                        )
-                    continue
-                if ph in policy.fallback_phases:
-                    self.comm_fallbacks += 1
-                    self.logger.warn(
-                        f"{ph}: retries exhausted ({exc}); falling back "
-                        "to stale state"
-                    )
-                    if tracer.enabled:
-                        tracer.instant(f"fallback:{ph}", "fault", self.kfac.rank)
-                    return CollectiveFailed(phase=ph, error=exc)
-                raise
 
     def step(self) -> None:
+        """Execute this rank's K-FAC step.
+
+        A launch only builds a deferred handle; the wait posts this rank's
+        contribution with its compute-overlap budget and blocks until
+        every member has posted.  A failed post raises at the wait, and
+        the handle re-posts on each retry (its result is not cached until
+        a wait succeeds), keeping the op generations aligned.
+        """
         gen = self.kfac.step_generator()
         req = _advance(gen, first=True)
-        seq = 0
-        pending: dict[str, tuple[Handle, list[tuple[int, ...]] | None]] = {}
+        # tag -> (handle, allreduce shapes or None, phase, group or None)
+        pending: dict[str, tuple[Handle, Any, str, tuple[int, ...] | None]] = {}
         while req is not None:
-            if isinstance(req, AllReduceRequest):
-                name = f"kfac:{req.phase}:{seq}"
-                seq += 1
-                shapes = [t.shape for t in req.tensors]
-                flat = pack_arrays(req.tensors)
-                reduced = self._with_retry(
-                    req.phase,
-                    lambda: self.hvd.allreduce(
-                        flat, name=name, op=req.op, phase=req.phase, codec=req.comm_dtype
-                    ),
-                )
-                if not isinstance(reduced, CollectiveFailed):
-                    reduced = unpack_arrays(reduced, shapes)
-                req = _advance(gen, reduced)
-            elif isinstance(req, AllGatherRequest):
-                name = f"kfac:{req.phase}:{seq}"
-                seq += 1
-                gathered = self._with_retry(
-                    req.phase,
-                    lambda: self.hvd.allgather(req.tensor, name=name, phase=req.phase),
-                )
-                req = _advance(gen, gathered)
-            elif isinstance(req, GroupAllGatherRequest):
-                # only group members post; the name must be stable per
-                # *logical group* (not per yield position) because the
-                # world's op-generation counters advance per posting rank —
-                # a seq-based name would desync ranks whose membership
-                # differs between steps.  Contiguous groups have distinct
-                # leading ranks, so the leader identifies the group.
-                name = f"kfac:{req.phase}:grp{req.ranks[0]}"
-                if self.kfac.rank in req.ranks:
-                    assert req.tensor is not None
-                    gathered = self._with_retry(
-                        req.phase,
-                        lambda: self.hvd.group_allgather(
-                            req.tensor, name=name, ranks=req.ranks, phase=req.phase
-                        ),
-                    )
-                    req = _advance(gen, gathered)
-                else:
-                    # non-members never post, so they cannot observe a
-                    # member-side failure: degradation is member-local
-                    req = _advance(gen, None)
-            elif isinstance(req, GroupBroadcastRequest):
-                name = f"kfac:{req.phase}:root{req.root}"
-                if self.kfac.rank in req.ranks:
-                    payload = (
-                        req.tensor
-                        if self.kfac.rank == req.root
-                        else np.zeros(0, dtype=np.float32)
-                    )
-                    assert payload is not None
-                    got = self._with_retry(
-                        req.phase,
-                        lambda: self.hvd.group_broadcast(
-                            payload, name=name, root=req.root, ranks=req.ranks,
-                            phase=req.phase,
-                        ),
-                    )
-                    req = _advance(gen, got)
-                else:
-                    req = _advance(gen, None)
-            elif isinstance(req, AllReduceLaunch):
-                # matched op names must be identical across ranks, so key
-                # launches by tag (deterministic) rather than sequence
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                shapes = [t.shape for t in req.tensors]
-                flat = pack_arrays(req.tensors)
-                handle = self.hvd.allreduce_async(
-                    flat,
-                    name=f"kfac:{req.phase}:{req.tag}",
-                    op=req.op,
-                    phase=req.phase,
-                    codec=req.comm_dtype,
-                )
-                pending[req.tag] = (handle, shapes)
-                req = _advance(gen, None)
-            elif isinstance(req, AllGatherLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                handle = self.hvd.allgather_async(
-                    req.tensor, name=f"kfac:{req.phase}:{req.tag}", phase=req.phase
-                )
-                pending[req.tag] = (handle, None)
-                req = _advance(gen, None)
-            elif isinstance(req, GroupAllGatherLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                # stable per-logical-group name, same reasoning as the
-                # blocking GroupAllGatherRequest above
-                name = f"kfac:{req.phase}:grp{req.ranks[0]}"
-                if self.kfac.rank in req.ranks:
-                    assert req.tensor is not None
-                    handle = self.hvd.group_allgather_async(
-                        req.tensor, name=name, ranks=req.ranks, phase=req.phase
-                    )
-                else:
-                    handle = LaunchedHandle(lambda ov: None)
-                pending[req.tag] = (handle, None)
-                req = _advance(gen, None)
-            elif isinstance(req, GroupBroadcastLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                name = f"kfac:{req.phase}:root{req.root}"
-                if self.kfac.rank in req.ranks:
-                    payload = (
-                        req.tensor
-                        if self.kfac.rank == req.root
-                        else np.zeros(0, dtype=np.float32)
-                    )
-                    assert payload is not None
-                    handle = self.hvd.group_broadcast_async(
-                        payload, name=name, root=req.root, ranks=req.ranks,
-                        phase=req.phase,
-                    )
-                else:
-                    handle = LaunchedHandle(lambda ov: None)
-                pending[req.tag] = (handle, None)
-                req = _advance(gen, None)
-            elif isinstance(req, WaitRequest):
+            if isinstance(req, WaitRequest):
                 if req.tag not in pending:
                     raise RuntimeError(f"wait on unknown tag {req.tag!r} (never launched?)")
-                handle, shapes = pending.pop(req.tag)
-                # a failed launched collective raises at wait time; the
-                # handle re-posts on each retry (its result is not cached
-                # until a wait succeeds), keeping generations aligned
+                handle, shapes, phase, group = pending.pop(req.tag)
                 result = self._with_retry(
-                    None, lambda: handle.wait(req.compute_seconds)
+                    phase, partial(handle.wait, req.compute_seconds), group
                 )
                 if shapes is not None and not isinstance(result, CollectiveFailed):
                     result = unpack_arrays(result, shapes)
-                req = _advance(gen, result)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown request type {type(req)}")
+            else:
+                if req.tag in pending:
+                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
+                pending[req.tag] = self._launch(req)
+                result = None
+            req = _advance(gen, result)
         if pending:  # pragma: no cover - defensive
             raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
+
+    def _launch(
+        self,
+        req: AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch,
+    ) -> tuple[Handle, Any, str, tuple[int, ...] | None]:
+        # matched op names must be identical across ranks, so key them by
+        # tag: tags are deterministic, and a group op's tag names its
+        # logical group, which keeps the world's per-rank generation
+        # counters aligned even when membership differs between steps
+        name = f"kfac:{req.phase}:{req.tag}"
+        rank = self.kfac.rank
+        shapes = group = None
+        if isinstance(req, AllReduceLaunch):
+            shapes = [t.shape for t in req.tensors]
+            handle = self.hvd.allreduce_async(
+                pack_arrays(req.tensors),
+                name=name,
+                op=req.op,
+                phase=req.phase,
+                codec=req.comm_dtype,
+            )
+        elif isinstance(req, AllGatherLaunch):
+            handle = self.hvd.allgather_async(req.tensor, name=name, phase=req.phase)
+        elif isinstance(req, (GroupAllGatherLaunch, GroupBroadcastLaunch)):
+            group = req.ranks
+            if rank not in group:
+                # non-members never post, so they cannot observe a
+                # member-side failure: degradation is member-local
+                handle = LaunchedHandle(lambda ov: None)
+            elif isinstance(req, GroupAllGatherLaunch):
+                assert req.tensor is not None
+                handle = self.hvd.group_allgather_async(
+                    req.tensor, name=name, ranks=req.ranks, phase=req.phase
+                )
+            else:
+                payload = req.tensor if rank == req.root else np.zeros(0, dtype=np.float32)
+                assert payload is not None
+                handle = self.hvd.group_broadcast_async(
+                    payload, name=name, root=req.root, ranks=req.ranks, phase=req.phase
+                )
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown request type {type(req)}")
+        return handle, shapes, req.phase, group

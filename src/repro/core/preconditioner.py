@@ -19,29 +19,28 @@ Two distribution strategies (§VI-C3) are implemented behind one code path:
   gradients are then allgathered — on **every** iteration, since only the
   owner holds the layer's second-order state.
 
-The step logic is a generator yielding
-:class:`repro.core.comm_ops.AllReduceRequest` /
-:class:`AllGatherRequest`; drivers in :mod:`repro.core.distributed` bind it
-to a world.  Counters (``steps``, update frequencies, captures) follow the
-reference implementation: factors are captured/updated every
-``fac_update_freq`` steps and second-order state every
-``kfac_update_freq`` steps, with ``fac_update_freq`` typically 10x more
-frequent (§V-C).
+The step logic is a generator speaking the launch/wait protocol of
+:mod:`repro.core.comm_ops` (every collective is a launch plus a wait);
+drivers in :mod:`repro.core.distributed` bind it to a world, and a world
+of one yields nothing.  Counters (``steps``, update frequencies,
+captures) follow the reference implementation: factors are
+captured/updated every ``fac_update_freq`` steps and second-order state
+every ``kfac_update_freq`` steps, with ``fac_update_freq`` typically 10x
+more frequent (§V-C).
 
 Every strategy executes through one dependency-graph scheduler
 (:mod:`repro.sched`): the step is planned as per-layer tasks
 (``FactorComm -> Eig -> EigShare -> Precondition -> GradShare``) and a
 single :class:`repro.sched.executor.GraphExecutor` walks the schedule.
-``scheduler="sync"`` (default) emits the classic blocking request stream;
-``scheduler="graph"`` pipelines it SPD-KFAC style — bucketed asynchronous
-factor allreduces, eigenbasis shares and gradient broadcasts all
-overlapping local second-order compute.
+``scheduler="sync"`` (default) waits every collective as soon as it is
+launched; ``scheduler="graph"`` pipelines the step SPD-KFAC style —
+bucketed asynchronous factor allreduces, eigenbasis shares and gradient
+broadcasts all overlapping local second-order compute.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Generator, Sequence
 
@@ -62,11 +61,7 @@ from repro.core.assignment import (
     plan_block_metas,
     round_robin_assignment,
 )
-from repro.core.comm_ops import (
-    AllGatherRequest,
-    AllReduceRequest,
-    unpack_arrays,
-)
+from repro.core.comm_ops import unpack_arrays
 from repro.core.inverse import FactorEig
 from repro.core.layers import KFACLayer, make_kfac_layer
 from repro.nn.module import Module
@@ -131,16 +126,13 @@ class KFACHyperParams:
         must be non-empty (an empty string is a substring of *every* name
         and would silently skip the whole model).
     scheduler:
-        ``"sync"`` (default) — the task-graph executor emits the classic
-        blocking request stream; ``"graph"`` — SPD-KFAC-style pipelined
-        execution: bucketed asynchronous factor allreduces overlapped with
-        local eigendecompositions, and eigenbasis shares / gradient
-        broadcasts scheduled as ordinary graph nodes that overlap the
-        remaining factor buckets.  Numerically equivalent; only the
+        ``"sync"`` (default) — the task-graph executor waits every
+        collective as soon as it launches it; ``"graph"`` —
+        SPD-KFAC-style pipelined execution: bucketed asynchronous factor
+        allreduces overlapped with local eigendecompositions, and
+        eigenbasis shares / gradient broadcasts scheduled as ordinary
+        graph nodes that overlap the remaining factor buckets.  Numerically equivalent; only the
         exposed-communication accounting changes.
-    async_comm:
-        Deprecated alias for ``scheduler``: ``True`` selects
-        ``scheduler="graph"``.  Emits a :class:`DeprecationWarning`.
     bucket_bytes:
         Pipeline chunk size (per-bucket payload cap) for
         ``scheduler="graph"``.  ``None`` (default) lets the planner pick
@@ -216,7 +208,6 @@ class KFACHyperParams:
     assignment: str = "round_robin"
     skip_layers: tuple[str, ...] = ()
     scheduler: str = "sync"
-    async_comm: bool | None = None
     bucket_bytes: int | None = None
     symmetric_comm: bool = True
     comm_dtype: str | None = None
@@ -268,17 +259,6 @@ class KFACHyperParams:
             raise ValueError(
                 f"scheduler must be 'sync' or 'graph', got {self.scheduler!r}"
             )
-        if self.async_comm is not None:
-            warnings.warn(
-                "KFAC(async_comm=...) is deprecated; use "
-                "scheduler='graph' (pipelined) or scheduler='sync'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.async_comm and self.scheduler == "sync":
-                self.scheduler = "graph"
-            # normalize so dataclass round trips don't re-warn
-            self.async_comm = None
         if self.bucket_bytes is not None and self.bucket_bytes <= 0:
             raise ValueError(f"bucket_bytes must be positive, got {self.bucket_bytes}")
         if not isinstance(self.diag_blocks, int) or self.diag_blocks < 1:
@@ -690,7 +670,7 @@ class KFAC:
         The step is planned as a task graph (:mod:`repro.sched`) and run
         by one :class:`repro.sched.executor.GraphExecutor` for every
         strategy; ``scheduler="graph"`` pipelines the collectives,
-        ``"sync"`` yields the classic blocking request stream.
+        ``"sync"`` waits each one as soon as it is launched.
         """
         # imported here, not at module top: repro.sched.executor imports
         # repro.core submodules, whose package __init__ imports this module
@@ -795,7 +775,7 @@ class KFAC:
         graph, schedule and bucket partition depend only on static
         placement metadata.  ``scheduler="graph"`` plans pipelined
         launch/wait execution for the COMM_OPT and HYBRID strategies;
-        ``"sync"`` plans the blocking request stream.  With
+        ``"sync"`` plans every wait right after its launch.  With
         ``bucket_bytes=None`` the pipeline chunk size comes from the
         cost-model rates (:func:`repro.sched.planner.choose_bucket_bytes`).
         Factors must exist when a factor exchange is planned (the wire
@@ -1109,21 +1089,15 @@ class KFAC:
     # convenience: run the step with no communication (world of one)
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Single-worker step (Listing 1's ``preconditioner.step()``)."""
+        """Single-worker step (Listing 1's ``preconditioner.step()``).
+
+        A world of one has nobody to talk to, so the step generator must
+        finish without yielding a single comm request.
+        """
         if self.world_size != 1:
             raise RuntimeError(
                 "step() is the single-worker entry point; use a driver from "
                 "repro.core.distributed for multi-worker execution"
             )
-        gen = self.step_generator()
-        try:
-            req = next(gen)
-            while True:
-                if isinstance(req, AllReduceRequest):
-                    req = gen.send(list(req.tensors))
-                elif isinstance(req, AllGatherRequest):
-                    req = gen.send([req.tensor])
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown comm request {type(req)}")
-        except StopIteration:
-            pass
+        for req in self.step_generator():
+            raise RuntimeError(f"world of one yielded a comm request: {type(req).__name__}")

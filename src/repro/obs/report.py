@@ -159,9 +159,12 @@ def fig1_drift_report(
     strategy, gradient-worker fraction and precision are read off it, so
     the modeled configuration always matches what actually ran.
     Measured compute stages (``io``/``forward``/``gradient``/``update``)
-    use the trainer's wall-clock stopwatches; measured communication
-    stages (``exchange`` and the K-FAC sub-stages) use the simulated
-    exposed+hidden ledgers, divided by the iteration count.
+    use the trainer's wall-clock stopwatches, divided by the iteration
+    count *and* by ``p``: the phase trainer runs its replicas one after
+    another, so each stopwatch sums all ``p`` of them, while the model
+    prices one rank.  Measured communication stages (``exchange`` and the
+    K-FAC sub-stages) use the simulated exposed+hidden ledgers, which
+    charge each collective once, divided by the iteration count only.
 
     Example
     -------
@@ -202,16 +205,17 @@ def fig1_drift_report(
 
     wall = history.phase_seconds
     hidden = history.comm_hidden_seconds
+    rank_iters = iters * max(1, p)
 
     def sim_total(phase: str) -> float:
         return history.comm_seconds.get(phase, 0.0) + hidden.get(phase, 0.0)
 
     measured = {
-        "io": wall.get("io", 0.0) / iters,
-        "forward": wall.get("forward", 0.0) / iters,
-        "gradient": wall.get("backward", 0.0) / iters,
+        "io": wall.get("io", 0.0) / rank_iters,
+        "forward": wall.get("forward", 0.0) / rank_iters,
+        "gradient": wall.get("backward", 0.0) / rank_iters,
         "exchange": sim_total("grad_allreduce") / iters,
-        "update": wall.get("update", 0.0) / iters,
+        "update": wall.get("update", 0.0) / rank_iters,
     }
     rows = [DriftRow(s, modeled[s], measured[s]) for s in FIG1_STAGES]
 

@@ -3,16 +3,19 @@
 One executor replaces the three hand-written update pipelines the
 preconditioner used to carry (synchronous, pipelined COMM_OPT, pipelined
 HYBRID).  It walks the plan's schedule and turns each task into the
-launch/wait step-generator protocol of :mod:`repro.core.comm_ops`:
+launch/wait step-generator protocol of :mod:`repro.core.comm_ops`.
+Every collective is launched the same way (:meth:`GraphExecutor._collective`);
+only where its wait goes differs:
 
-- synchronous plans yield blocking requests in exactly the order the
-  retired pipelines did (bit-identical request stream);
-- pipelined plans launch collectives and defer their waits until a
-  dependent task needs the data, crediting the *deterministic* simulated
-  compute performed in between as overlap — so factor buckets, the
-  eigenbasis shares (world allgather, or per-group allgathers under the
-  gradient-worker-fraction placement) and the final gradient broadcasts
-  all hide behind local eigendecomposition/preconditioning work.
+- synchronous plans wait each launch at once with no overlap budget, in
+  exactly the order the retired pipelines issued their blocking
+  requests;
+- pipelined plans defer each wait until a dependent task needs the data,
+  crediting the *deterministic* simulated compute performed in between
+  as overlap — so factor buckets, the eigenbasis shares (world
+  allgather, or per-group allgathers under the gradient-worker-fraction
+  placement) and the final gradient broadcasts all hide behind local
+  eigendecomposition/preconditioning work.
 
 Numerics never depend on the interleaving: the same reductions, the same
 decompositions, the same packing — only the exposed-communication
@@ -35,13 +38,9 @@ from repro.comm.fusion import tri_pack, tri_unpack
 from repro.core.clipping import kl_clip_factor
 from repro.core.comm_ops import (
     AllGatherLaunch,
-    AllGatherRequest,
     AllReduceLaunch,
-    AllReduceRequest,
     GroupAllGatherLaunch,
-    GroupAllGatherRequest,
     GroupBroadcastLaunch,
-    GroupBroadcastRequest,
     WaitRequest,
     pack_arrays,
     pack_symmetric,
@@ -147,6 +146,34 @@ class GraphExecutor:
                 },
             )
 
+    def _collective(
+        self,
+        task: Any,
+        request: Any,
+        install: Any,
+        attrs: dict | None = None,
+        blocking: bool = False,
+    ) -> Generator[Any, Any, None]:
+        """Launch one collective and install its result when it is waited.
+
+        On a pipelined plan the wait is deferred until a dependent task
+        needs the data (:meth:`_wait_deps`), so the compute done meanwhile
+        is credited as overlap.  A synchronous plan — or ``blocking=True``
+        — waits at once with ``compute_seconds=0.0``: the op is fully
+        exposed, and the overlap budget accrued so far is left for the
+        next deferred wait.  Only deferred ops are traced as launch/wait.
+        """
+        tag = request.tag
+        if self.plan.pipelined and not blocking:
+            if self.tracer.enabled:
+                self.tracer.launch(self.kfac.rank, tag, attrs=attrs)
+            yield request
+            self._task_tag[task.name] = tag
+            self._pending[tag] = install
+        else:
+            yield request
+            install((yield WaitRequest(tag=tag, compute_seconds=0.0)))
+
     def _dispatch(self, task: Any) -> Generator[Any, Any, None]:
         kind = task.kind
         if kind == "FactorComm":
@@ -200,35 +227,22 @@ class GraphExecutor:
         idxs = tuple(self.plan.buckets[b])
         assert self._wire is not None
         tensors = [self._wire[i] for i in idxs]
-        if self.plan.pipelined:
-            tag = f"fac:{b}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "FactorComm",
-                        "bucket": b,
-                        "bytes": float(sum(t.nbytes for t in tensors)),
-                    },
-                )
-            yield AllReduceLaunch(
+        yield from self._collective(
+            task,
+            AllReduceLaunch(
                 tensors=tensors,
                 op="average",
                 phase="factor_comm",
-                tag=tag,
+                tag=f"fac:{b}",
                 comm_dtype=kfac.hp.comm_dtype,
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = lambda reduced: self._install_factors(idxs, reduced)
-        else:
-            reduced = yield AllReduceRequest(
-                tensors=tensors,
-                op="average",
-                phase="factor_comm",
-                comm_dtype=kfac.hp.comm_dtype,
-            )
-            self._install_factors(idxs, reduced)
+            ),
+            lambda reduced: self._install_factors(idxs, reduced),
+            {
+                "task": "FactorComm",
+                "bucket": b,
+                "bytes": float(sum(t.nbytes for t in tensors)),
+            },
+        )
 
     def _install_factors(self, idxs: Sequence[int], reduced: Sequence[np.ndarray]) -> None:
         kfac = self.kfac
@@ -357,24 +371,14 @@ class GraphExecutor:
 
         if kfac.world_size == 1:
             install([flat])
-        elif self.plan.pipelined:
-            tag = f"eig:{task.payload['bucket']}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "EigShare",
-                        "bucket": task.payload["bucket"],
-                        "bytes": float(flat.nbytes),
-                    },
-                )
-            yield AllGatherLaunch(tensor=flat, phase="eig_comm", tag=tag)
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            gathered = yield AllGatherRequest(tensor=flat, phase="eig_comm")
-            install(gathered)
+            return
+        b = task.payload["bucket"]
+        yield from self._collective(
+            task,
+            AllGatherLaunch(tensor=flat, phase="eig_comm", tag=f"eig:{b}"),
+            install,
+            {"task": "EigShare", "bucket": b, "bytes": float(flat.nbytes)},
+        )
 
     def _run_group_share(self, task: Any) -> Generator[Any, Any, None]:
         """HYBRID: allgather decompositions inside one gradient-worker group.
@@ -423,29 +427,19 @@ class GraphExecutor:
                 for j, meta in enumerate(member_metas[r]):
                     kfac._install_factor_state(meta, arrays[j * step : (j + 1) * step])
 
-        if self.plan.pipelined:
-            tag = f"share:grp{ranks[0]}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "EigShare",
-                        "group": list(ranks),
-                        "member": in_group,
-                        "bytes": float(flat.nbytes) if flat is not None else 0.0,
-                    },
-                )
-            yield GroupAllGatherLaunch(
-                tensor=flat, ranks=ranks, phase="eig_comm", tag=tag
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            gathered = yield GroupAllGatherRequest(
-                tensor=flat, ranks=ranks, phase="eig_comm"
-            )
-            install(gathered if in_group else None)
+        yield from self._collective(
+            task,
+            GroupAllGatherLaunch(
+                tensor=flat, ranks=ranks, phase="eig_comm", tag=f"share:grp{ranks[0]}"
+            ),
+            install,
+            {
+                "task": "EigShare",
+                "group": list(ranks),
+                "member": in_group,
+                "bytes": float(flat.nbytes) if flat is not None else 0.0,
+            },
+        )
 
     # ------------------------------------------------------------------
     # Precondition
@@ -499,28 +493,22 @@ class GraphExecutor:
             for l, arr in zip(layers_r, unpack_arrays(got, shapes)):
                 self._pre[l.name] = arr
 
-        if self.plan.pipelined:
-            tag = f"grad:root{root}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "GradShare",
-                        "root": root,
-                        "bytes": float(flat.nbytes) if flat is not None else 0.0,
-                    },
-                )
-            yield GroupBroadcastLaunch(
-                tensor=flat, root=root, ranks=participants, phase="precond_comm", tag=tag
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            got = yield GroupBroadcastRequest(
-                tensor=flat, root=root, ranks=participants, phase="precond_comm"
-            )
-            install(got)
+        yield from self._collective(
+            task,
+            GroupBroadcastLaunch(
+                tensor=flat,
+                root=root,
+                ranks=participants,
+                phase="precond_comm",
+                tag=f"grad:root{root}",
+            ),
+            install,
+            {
+                "task": "GradShare",
+                "root": root,
+                "bytes": float(flat.nbytes) if flat is not None else 0.0,
+            },
+        )
 
     def _run_grad_allgather(self, task: Any) -> Generator[Any, Any, None]:
         """LAYER_WISE: allgather every owner's preconditioned grads."""
@@ -531,15 +519,25 @@ class GraphExecutor:
             if kfac._layer_assignment[l.name] == kfac.rank
         ]
         flat = pack_arrays(mine)
-        gathered = yield AllGatherRequest(tensor=flat, phase="precond_comm")
-        for worker in range(kfac.world_size):
-            owned = [
-                l for l in kfac.layers if kfac._layer_assignment[l.name] == worker
-            ]
-            shapes = [(l.g_dim, l.a_dim) for l in owned]
-            arrays = unpack_arrays(gathered[worker], shapes)
-            for l, arr in zip(owned, arrays):
-                self._pre[l.name] = arr
+
+        def install(gathered: Sequence[np.ndarray]) -> None:
+            for worker in range(kfac.world_size):
+                owned = [
+                    l for l in kfac.layers if kfac._layer_assignment[l.name] == worker
+                ]
+                shapes = [(l.g_dim, l.a_dim) for l in owned]
+                arrays = unpack_arrays(gathered[worker], shapes)
+                for l, arr in zip(owned, arrays):
+                    self._pre[l.name] = arr
+
+        # every layer's update waits on this exchange, so there is nothing
+        # to overlap it with: it is blocking on pipelined plans too
+        yield from self._collective(
+            task,
+            AllGatherLaunch(tensor=flat, phase="precond_comm", tag="grad:all"),
+            install,
+            blocking=True,
+        )
 
     # ------------------------------------------------------------------
     # epilogue

@@ -23,7 +23,6 @@ import pytest
 
 from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
 from repro.approx.blockeig import BlockFactorEig
-from repro.core.distributed import LocalDriver
 from repro.core.preconditioner import KFAC
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
@@ -40,7 +39,6 @@ def _stepper(**kfac_kw):
     kw = dict(damping=0.01, kfac_update_freq=1, fac_update_freq=1, lr=0.1)
     kw.update(kfac_kw)
     kfac = KFAC(model, **kw)
-    driver = LocalDriver(kfac)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     loss_fn = CrossEntropyLoss()
 
@@ -49,7 +47,7 @@ def _stepper(**kfac_kw):
         out = model(x)
         loss_fn(out, y)
         model.backward(loss_fn.backward())
-        driver.step()
+        kfac.step()
         opt.step()
 
     return step, kfac

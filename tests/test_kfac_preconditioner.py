@@ -67,15 +67,6 @@ class TestConstruction:
         assert kfac.hp.kfac_update_freq == 7
         assert kfac.hp.scheduler == "graph"
 
-    def test_async_comm_alias_deprecated(self, tiny_cnn):
-        with pytest.warns(DeprecationWarning, match="async_comm"):
-            kfac = KFAC(tiny_cnn, async_comm=True)
-        assert kfac.hp.scheduler == "graph"
-        assert kfac.hp.async_comm is None  # normalized: alias resolved
-        with pytest.warns(DeprecationWarning, match="async_comm"):
-            kfac = KFAC(tiny_cnn, async_comm=False)
-        assert kfac.hp.scheduler == "sync"
-
     def test_factor_metas_order(self, tiny_cnn):
         kfac = KFAC(tiny_cnn)
         kinds = [m.kind for m in kfac.factor_metas]

@@ -431,6 +431,31 @@ class TestDriftReport:
         assert report.meta["p"] == 4
         assert report.meta["strategy"] == "hybrid"
 
+    def test_wall_stages_are_per_rank(self):
+        """The phase trainer runs its P replicas one after another, so its
+        wall stopwatches sum P replicas; the report models one rank."""
+        from repro.parallel.trainer import TrainingHistory
+
+        history = TrainingHistory()
+        history.total_iterations = 1
+        history.phase_seconds = {
+            "io": 2.0, "forward": 4.0, "backward": 8.0, "update": 12.0,
+        }
+        history.comm_seconds = {"grad_allreduce": 0.5}
+        measured = {
+            row.stage: row.measured
+            for row in fig1_drift_report(
+                history, _model(), p=4,
+                intervals=KfacIntervals.from_eig_interval(10),
+            ).rows
+        }
+        assert measured["forward"] == 1.0
+        assert measured["gradient"] == 2.0
+        assert measured["update"] == 3.0
+        assert measured["io"] == 0.5
+        # simulated comm ledgers already hold one charge per collective
+        assert measured["exchange"] == 0.5
+
     def test_inf_error_when_model_predicts_zero(self):
         from repro.obs.report import DriftRow
 

@@ -25,7 +25,6 @@ from repro.approx.blockeig import BlockFactorEig
 from repro.comm.backend import World
 from repro.core.distributed import (
     HorovodContext,
-    LocalDriver,
     PhaseController,
     SPMDDriver,
 )
@@ -169,7 +168,6 @@ def _train_local(steps: int, **kfac_kw):
         model, damping=0.01, kfac_update_freq=1, fac_update_freq=1, lr=0.1,
         **kfac_kw,
     )
-    driver = LocalDriver(kfac)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     loss_fn = MarginSoftmaxLoss()
     loss = np.inf
@@ -178,7 +176,7 @@ def _train_local(steps: int, **kfac_kw):
         out = model(x)
         loss = loss_fn(out, y)
         model.backward(loss_fn.backward())
-        driver.step()
+        kfac.step()
         opt.step()
     return float(loss), kfac
 
