@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from repro.comm.engine import task_overlap_profile
+from repro.comm.backend import task_overlap_profile
 from repro.perfmodel.hardware import FRONTERA_LIKE, V100_LIKE
 from repro.perfmodel.iteration import IterationModel
 from repro.perfmodel.specs import resnet_spec
@@ -45,7 +45,9 @@ def _measured_row(world) -> dict:
             }
             for phase in PHASES
         },
-        "tasks": task_overlap_profile(world.overlap),
+        "tasks": task_overlap_profile(
+            world.overlap.exposed_by_phase, world.overlap.hidden_by_phase
+        ),
     }
 
 

@@ -6,28 +6,24 @@ buffer (§II-D, §V-A).  This package reproduces those semantics for
 *simulated* workers living in one process:
 
 - :mod:`repro.comm.backend` — the :class:`World`: ranks, op matching with
-  deadlock detection, byte/time accounting;
+  deadlock detection, and the one comm ledger (``CommStats`` bytes/ops,
+  ``OverlapStats`` exposed vs. hidden seconds);
 - :mod:`repro.comm.collectives` — data-moving ring allreduce/allgather,
   binomial-tree broadcast, reduce-scatter (bit-level testable);
 - :mod:`repro.comm.costmodel` — alpha-beta cost functions for the same
   algorithms (drives the paper's scaling results);
 - :mod:`repro.comm.fusion` — Horovod's fusion buffer (accumulate small
   tensors, flush as one bandwidth-bound allreduce);
-- :mod:`repro.comm.engine` — the pipelined async engine: persistent fusion
-  buffers, a shared bucketing policy, async launch/wait, and exposed vs.
-  hidden communication-time accounting (SPD-KFAC-style overlap);
+- :mod:`repro.comm.engine` — the shared bucketing primitive and the
+  deterministic compute budgets that pipelined (SPD-KFAC-style) waits
+  hide communication behind;
 - :mod:`repro.comm.horovod` — a ``hvd``-flavoured per-rank frontend
   (``size``/``rank``/``allreduce_async_``/``synchronize``/
   ``broadcast_parameters``/``DistributedOptimizer``).
 """
 
-from repro.comm.backend import OverlapStats, World
-from repro.comm.engine import (
-    CommEngine,
-    estimate_second_order_seconds,
-    partition_buckets,
-    symmetric_payload_nbytes,
-)
+from repro.comm.backend import OverlapStats, World, task_overlap_profile
+from repro.comm.engine import estimate_second_order_seconds, partition_buckets
 from repro.comm.collectives import (
     binomial_broadcast,
     ring_allgather,
@@ -55,10 +51,9 @@ from repro.comm.horovod import Average, DistributedOptimizer, HorovodContext, Su
 __all__ = [
     "World",
     "OverlapStats",
-    "CommEngine",
+    "task_overlap_profile",
     "estimate_second_order_seconds",
     "partition_buckets",
-    "symmetric_payload_nbytes",
     "tri_len",
     "tri_pack",
     "tri_unpack",

@@ -15,9 +15,11 @@ Two usage styles, sharing the same collective algorithms and cost model:
    hanging forever.
 
 Every collective charges simulated seconds (from
-:mod:`repro.comm.costmodel`) and payload bytes to per-phase accounting, so
-experiments can report the communication profile the paper shows in
-Table V.
+:mod:`repro.comm.costmodel`) and payload bytes to one per-phase ledger —
+``world.stats`` (:class:`CommStats`: bytes and ops, recorded at launch)
+and ``world.overlap`` (:class:`OverlapStats`: exposed and hidden seconds,
+recorded at settle) — so experiments can report the communication
+profile the paper shows in Table V.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,9 +49,15 @@ from repro.comm.costmodel import (
 )
 from repro.comm.handles import InFlightHandle, LaunchedHandle
 from repro.obs.tracer import NULL_TRACER
-from repro.utils.timer import TimerRegistry
 
-__all__ = ["World", "RankView", "DeadlockError", "CommStats", "OverlapStats"]
+__all__ = [
+    "World",
+    "RankView",
+    "DeadlockError",
+    "CommStats",
+    "OverlapStats",
+    "task_overlap_profile",
+]
 
 
 class DeadlockError(RuntimeError):
@@ -78,11 +86,14 @@ class CommStats:
 class OverlapStats:
     """Exposed vs. hidden communication seconds, per phase.
 
-    Every collective's simulated cost lands here exactly once: synchronous
-    calls are fully *exposed*; asynchronous calls launched through the
-    engine split into ``exposed = max(0, t - overlap_budget)`` plus the
-    ``hidden`` remainder (comm time masked by concurrent local compute,
-    the SPD-KFAC pipelining gain).
+    Together with :class:`CommStats` (bytes and ops, recorded at launch)
+    this is the world's one comm ledger.  Every collective's simulated
+    cost lands here exactly once, at settle: synchronous calls are fully
+    *exposed*; a launched call waited with an overlap budget splits into
+    ``exposed = max(0, t - overlap_budget)`` plus the ``hidden``
+    remainder (comm time masked by concurrent local compute, the
+    SPD-KFAC pipelining gain).  Driver retry backoff is recorded under
+    the ``retry_backoff`` phase, fully exposed.
 
     Example
     -------
@@ -97,6 +108,12 @@ class OverlapStats:
     hidden_by_phase: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def record(self, phase: str, exposed: float, hidden: float) -> None:
+        """Add one op's exposed and hidden seconds to ``phase``."""
+        if exposed < 0 or hidden < 0:
+            raise ValueError(
+                f"cannot record negative time for {phase!r}: "
+                f"exposed={exposed}, hidden={hidden}"
+            )
         self.exposed_by_phase[phase] += exposed
         self.hidden_by_phase[phase] += hidden
 
@@ -120,6 +137,53 @@ class OverlapStats:
         }
 
 
+#: comm phase -> scheduler task kind responsible for that traffic
+_PHASE_TO_TASK_KIND = {
+    "factor_comm": "FactorComm",
+    "eig_comm": "EigShare",
+    "precond_comm": "GradShare",
+    "grad_allreduce": "GradAllReduce",
+}
+
+
+def task_overlap_profile(
+    exposed: Mapping[str, float], hidden: Mapping[str, float]
+) -> dict[str, dict[str, float]]:
+    """Exposed/hidden seconds keyed by scheduler task kind.
+
+    Translates per-phase exposed and hidden seconds (the two sides of an
+    :class:`OverlapStats`) into the task vocabulary of :mod:`repro.sched`
+    (``FactorComm``, ``EigShare``, ``GradShare``, ...), so training
+    histories can report which *task kind* paid exposed communication and
+    which overlapped.  Every mapped task kind is always present — kinds
+    that never ran report zeroed fields, so downstream tables see a stable
+    schema.  Phases without a task mapping keep their phase name.
+
+    Example
+    -------
+    >>> from repro.comm.backend import OverlapStats, task_overlap_profile
+    >>> stats = OverlapStats()
+    >>> stats.record("factor_comm", exposed=0.2, hidden=0.8)
+    >>> profile = task_overlap_profile(stats.exposed_by_phase, stats.hidden_by_phase)
+    >>> profile["FactorComm"]
+    {'exposed': 0.2, 'hidden': 0.8}
+    >>> sorted(profile)                       # zeroed kinds still present
+    ['EigShare', 'FactorComm', 'GradAllReduce', 'GradShare']
+    >>> profile["EigShare"]
+    {'exposed': 0.0, 'hidden': 0.0}
+    """
+    out: dict[str, dict[str, float]] = {
+        kind: {"exposed": 0.0, "hidden": 0.0}
+        for kind in _PHASE_TO_TASK_KIND.values()
+    }
+    for phase in sorted(set(exposed) | set(hidden)):
+        kind = _PHASE_TO_TASK_KIND.get(phase, phase)
+        bucket = out.setdefault(kind, {"exposed": 0.0, "hidden": 0.0})
+        bucket["exposed"] += exposed.get(phase, 0.0)
+        bucket["hidden"] += hidden.get(phase, 0.0)
+    return out
+
+
 class World:
     """A simulated set of ``size`` communicating workers.
 
@@ -140,7 +204,6 @@ class World:
             raise ValueError(f"world size must be >= 1, got {size}")
         self.size = size
         self.net = net
-        self.timers = TimerRegistry()
         self.stats = CommStats()
         self.overlap = OverlapStats()
         # SPMD matching state
@@ -218,7 +281,7 @@ class World:
 
         Spans are recorded at the *exact* ledger-charge sites with the
         same floats in the same order, so per-phase trace sums reconcile
-        with ``TimerRegistry``/``OverlapStats`` without tolerance.  The
+        with ``CommStats``/``OverlapStats`` without tolerance.  The
         ledgers charge each op *once* regardless of group membership, so
         only the first member's span carries ``owner=True`` — summing
         owner spans (``Tracer.phase_totals()`` with no rank) rebuilds the
@@ -247,7 +310,6 @@ class World:
         nbytes: float,
         group: Sequence[int] | None = None,
     ) -> None:
-        self.timers.charge(phase, seconds)
         self.stats.record(phase, nbytes)
         self.overlap.record(phase, seconds, 0.0)
         if self.tracer.enabled:
@@ -264,7 +326,6 @@ class World:
         """Split an async op's cost into exposed + hidden and account it."""
         hidden = min(seconds, max(0.0, overlap_seconds))
         exposed = seconds - hidden
-        self.timers.charge(phase, exposed)
         self.overlap.record(phase, exposed, hidden)
         if self.tracer.enabled:
             self._trace_comm(phase, seconds, exposed, hidden, nbytes, group)

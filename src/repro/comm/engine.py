@@ -1,51 +1,30 @@
-"""Pipelined asynchronous communication engine.
+"""Bucketing policy and deterministic overlap budgets for pipelined comm.
 
-One engine per :class:`repro.comm.backend.World` centralises the policies
-the rest of the stack used to improvise per call site:
-
-- **Bucketing** — one ``bucket_bytes`` knob governs both the Horovod-style
-  gradient fusion buffer *and* how the K-FAC factor exchange is split into
-  pipelineable chunks (SPD-KFAC's tensor partitioning: chunks small enough
+- **Bucketing** — :func:`partition_buckets` is the one greedy primitive
+  that splits a payload list into contiguous chunks of at most
+  ``bucket_bytes`` (SPD-KFAC's tensor partitioning: chunks small enough
   that communication of chunk ``k+1`` can hide behind compute on chunk
-  ``k``, large enough to stay bandwidth-bound).  Under symmetric factor
-  communication the partition runs over the *packed* triangular payloads
-  (:func:`symmetric_payload_nbytes`), so the pipeline depth follows the
-  roughly-halved bytes actually on the wire.
-- **Persistent fusion buffers** — ``engine.fusion(op, phase)`` returns one
-  long-lived :class:`repro.comm.fusion.FusionBuffer` per (op, phase), so
-  the trainer no longer rebuilds a buffer every iteration and flush
-  accounting accumulates across the whole run.
-- **Async launch/wait** — thin wrappers over the world's
-  ``allreduce_async``/``allgather_async`` that track in-flight handles so
-  a driver can assert nothing is left un-waited at a step boundary.
-- **Overlap accounting** — per-phase exposed vs. hidden communication
-  seconds (from :class:`repro.comm.backend.OverlapStats`), the quantity
-  the paper's Table V cares about and SPD-KFAC optimises.
-
-Compute-overlap budgets must be *deterministic* (simulated seconds, never
-wall clock), so the engine also provides a nominal second-order compute
-estimator used by the pipelined K-FAC step to price the eigendecomposition
-work it interleaves between launches and waits.
+  ``k``, large enough to stay bandwidth-bound).  The K-FAC planner
+  (:func:`repro.sched.planner.plan_buckets`) partitions the wire bytes
+  with it; :data:`DEFAULT_BUCKET_BYTES` caps the chunk size.
+- **Overlap budgets** — a launched collective is waited with
+  ``wait(overlap_seconds=...)``, and the world's ledger
+  (:class:`repro.comm.backend.OverlapStats`) splits its cost into
+  exposed and hidden seconds.  Budgets must be *deterministic*
+  (simulated seconds, never wall clock), so this module prices the
+  eigendecomposition and preconditioning work interleaved between a
+  launch and its wait at a nominal throughput.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.comm.backend import World
-from repro.comm.fusion import FusionBuffer, tri_len
-from repro.comm.handles import InFlightHandle
-
 __all__ = [
-    "CommEngine",
     "DEFAULT_BUCKET_BYTES",
     "estimate_precondition_seconds",
     "estimate_second_order_seconds",
     "partition_buckets",
-    "symmetric_payload_nbytes",
-    "task_overlap_profile",
 ]
 
 #: default pipeline chunk size — small enough that a ResNet-scale factor
@@ -109,68 +88,6 @@ def estimate_precondition_seconds(layer_dims: Sequence[tuple[int, int]]) -> floa
     return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 
-#: comm phase -> scheduler task kind responsible for that traffic
-_PHASE_TO_TASK_KIND = {
-    "factor_comm": "FactorComm",
-    "eig_comm": "EigShare",
-    "precond_comm": "GradShare",
-    "grad_allreduce": "GradAllReduce",
-}
-
-
-def task_overlap_profile(overlap) -> dict[str, dict[str, float]]:
-    """Exposed/hidden seconds keyed by scheduler task kind.
-
-    Translates the per-phase :class:`repro.comm.backend.OverlapStats` into
-    the task vocabulary of :mod:`repro.sched` (``FactorComm``, ``EigShare``,
-    ``GradShare``, ...), so training histories can report which *task kind*
-    paid exposed communication and which overlapped.  Every mapped task
-    kind is always present — kinds that never ran report zeroed fields, so
-    downstream tables see a stable schema.  Phases without a task mapping
-    keep their phase name.
-
-    Example
-    -------
-    >>> from repro.comm.backend import OverlapStats
-    >>> from repro.comm.engine import task_overlap_profile
-    >>> stats = OverlapStats()
-    >>> stats.record("factor_comm", exposed=0.2, hidden=0.8)
-    >>> profile = task_overlap_profile(stats)
-    >>> profile["FactorComm"]
-    {'exposed': 0.2, 'hidden': 0.8}
-    >>> sorted(profile)                       # zeroed kinds still present
-    ['EigShare', 'FactorComm', 'GradAllReduce', 'GradShare']
-    >>> profile["EigShare"]
-    {'exposed': 0.0, 'hidden': 0.0}
-    """
-    out: dict[str, dict[str, float]] = {
-        kind: {"exposed": 0.0, "hidden": 0.0}
-        for kind in _PHASE_TO_TASK_KIND.values()
-    }
-    for phase, entry in overlap.as_dict().items():
-        kind = _PHASE_TO_TASK_KIND.get(phase, phase)
-        bucket = out.setdefault(kind, {"exposed": 0.0, "hidden": 0.0})
-        bucket["exposed"] += entry["exposed"]
-        bucket["hidden"] += entry["hidden"]
-    return out
-
-
-def symmetric_payload_nbytes(dims: Sequence[int], itemsize: int = 4) -> list[int]:
-    """Per-factor wire bytes under triangular packing.
-
-    A ``d x d`` symmetric factor ships as ``d*(d+1)/2`` elements; feed the
-    result to :func:`partition_buckets` to derive the pipeline chunking
-    the packed exchange actually sees.
-
-    Example
-    -------
-    >>> from repro.comm.engine import symmetric_payload_nbytes
-    >>> symmetric_payload_nbytes([3, 4])      # 6 and 10 elements, fp32
-    [24, 40]
-    """
-    return [tri_len(int(d)) * int(itemsize) for d in dims]
-
-
 def partition_buckets(nbytes_list: Sequence[int], bucket_bytes: int) -> list[list[int]]:
     """Split item indices into contiguous buckets of at most ``bucket_bytes``.
 
@@ -199,112 +116,3 @@ def partition_buckets(nbytes_list: Sequence[int], bucket_bytes: int) -> list[lis
     if current:
         buckets.append(current)
     return buckets
-
-
-class CommEngine:
-    """Asynchronous, bucketed communication engine over one world.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.comm.backend import World
-    >>> from repro.comm.engine import CommEngine
-    >>> engine = CommEngine(World(2), bucket_bytes=1 << 20)
-    >>> handle = engine.allreduce_async([np.ones(4), np.ones(4)])
-    >>> engine.in_flight
-    1
-    >>> reduced = handle.wait(overlap_seconds=0.5)   # comm hidden by compute
-    >>> reduced[0].tolist()
-    [1.0, 1.0, 1.0, 1.0]
-    """
-
-    def __init__(self, world: World, bucket_bytes: int = DEFAULT_BUCKET_BYTES) -> None:
-        if bucket_bytes <= 0:
-            raise ValueError(f"bucket_bytes must be positive, got {bucket_bytes}")
-        self.world = world
-        self.bucket_bytes = bucket_bytes
-        self._fusions: dict[tuple[str, str, str | None], FusionBuffer] = {}
-        self._in_flight: list[InFlightHandle] = []
-
-    # ------------------------------------------------------------------
-    # fusion (gradient exchange and any other bucketed sync reduction)
-    # ------------------------------------------------------------------
-    def fusion(
-        self,
-        op: str = "average",
-        phase: str = "fused_allreduce",
-        codec: str | None = None,
-        error_feedback: bool = True,
-    ) -> FusionBuffer:
-        """The persistent fusion buffer for (op, phase, codec) — created once.
-
-        ``codec`` selects the wire compression (``"fp16"``/``"bf16"``,
-        fp32 reduction accumulators); ``error_feedback`` banks the
-        per-bucket quantization residuals across flushes.
-        """
-        key = (op, phase, codec if codec is None else str(codec))
-        if key not in self._fusions:
-            self._fusions[key] = FusionBuffer(
-                self.world,
-                capacity_bytes=self.bucket_bytes,
-                op=op,
-                phase=phase,
-                codec=codec,
-                error_feedback=error_feedback,
-            )
-        return self._fusions[key]
-
-    # ------------------------------------------------------------------
-    # async collectives
-    # ------------------------------------------------------------------
-    def allreduce_async(
-        self,
-        buffers: Sequence[np.ndarray],
-        op: str = "average",
-        phase: str = "allreduce",
-    ) -> InFlightHandle[list[np.ndarray]]:
-        handle = self.world.allreduce_async(buffers, op=op, phase=phase)
-        self._track(handle)
-        return handle
-
-    def allgather_async(
-        self, contributions: Sequence[np.ndarray], phase: str = "allgather"
-    ) -> InFlightHandle[list[list[np.ndarray]]]:
-        handle = self.world.allgather_async(contributions, phase=phase)
-        self._track(handle)
-        return handle
-
-    def _track(self, handle: InFlightHandle) -> None:
-        # prune settled handles on every launch so directly-waited handles
-        # don't pin their result arrays for the life of the engine
-        self._in_flight = [h for h in self._in_flight if not h.done()]
-        self._in_flight.append(handle)
-
-    @property
-    def in_flight(self) -> int:
-        """Number of launched-but-unsettled collectives."""
-        self._in_flight = [h for h in self._in_flight if not h.done()]
-        return len(self._in_flight)
-
-    def wait_all(self) -> None:
-        """Settle every in-flight handle (fully exposed — no overlap credit)."""
-        for h in self._in_flight:
-            h.wait()
-        self._in_flight.clear()
-
-    # ------------------------------------------------------------------
-    # bucketing + accounting
-    # ------------------------------------------------------------------
-    def make_buckets(self, arrays: Sequence[np.ndarray]) -> list[list[int]]:
-        """Partition array indices into pipeline chunks by this engine's policy."""
-        return partition_buckets([a.nbytes for a in arrays], self.bucket_bytes)
-
-    def overlap_report(self) -> dict[str, dict[str, float]]:
-        """Per-phase exposed/hidden communication seconds so far."""
-        return self.world.overlap.as_dict()
-
-    def exposed_seconds(self, phase: str) -> float:
-        return self.world.overlap.exposed(phase)
-
-    def hidden_seconds(self, phase: str) -> float:
-        return self.world.overlap.hidden(phase)

@@ -325,7 +325,7 @@ class RetryPolicy:
 
     A failed collective is retried up to ``max_retries`` times, charging
     exponentially growing backoff (``backoff_seconds * factor**attempt``)
-    to the ``retry_backoff`` timer phase.  When retries are exhausted on
+    to the ``retry_backoff`` ledger phase.  When retries are exhausted on
     a phase listed in ``fallback_phases`` the driver returns a
     :class:`CollectiveFailed` sentinel to the step generator — K-FAC then
     preconditions with its last-known (stale) state instead of crashing.

@@ -7,9 +7,9 @@ phase-style world: callers ``add`` named per-rank tensor groups; once the
 accumulated payload reaches capacity the buffer flushes as a *single*
 fused ring allreduce (one latency charge instead of one per tensor).
 
-Buffers are meant to be *persistent*: obtain one per (op, phase) from
-:meth:`repro.comm.engine.CommEngine.fusion` and reuse it every iteration —
-capacity-respecting flushes then carry across iterations and
+Buffers are meant to be *persistent*: build one per (op, phase) and reuse
+it every iteration, as the data-parallel trainer does for its gradient
+exchange — capacity-respecting flushes then carry across iterations and
 ``flush_count``/``bytes_flushed`` accumulate over the whole run.
 
 Planning-time bucket partitioning (deciding *which* factors fuse into

@@ -7,8 +7,7 @@ its result (phase-style execution) or defers a blocking matched post until
 register-then-synchronize pattern (§V-A: "handles are registered to
 communication operations ... and wait to do the communication in batches").
 
-Pipelined execution adds two handle flavours used by the async engine
-(:mod:`repro.comm.engine`):
+Launch/wait collectives add two handle flavours:
 
 - :class:`InFlightHandle` — the collective's *data movement* already
   happened (phase-style worlds are deterministic), but its simulated time
@@ -25,7 +24,6 @@ from typing import Any, Callable, Generic, TypeVar
 
 __all__ = [
     "Handle",
-    "ImmediateHandle",
     "DeferredHandle",
     "InFlightHandle",
     "LaunchedHandle",
@@ -42,19 +40,6 @@ class Handle(Generic[T]):
 
     def wait(self) -> T:
         raise NotImplementedError
-
-
-class ImmediateHandle(Handle[T]):
-    """A handle whose result is already available."""
-
-    def __init__(self, result: T) -> None:
-        self._result = result
-
-    def done(self) -> bool:
-        return True
-
-    def wait(self) -> T:
-        return self._result
 
 
 class DeferredHandle(Handle[T]):

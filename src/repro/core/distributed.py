@@ -117,7 +117,6 @@ class _RetryingDriver:
                 if attempt < policy.max_retries:
                     backoff = policy.backoff(attempt)
                     if owner in self._ranks:
-                        self.world.timers.charge("retry_backoff", backoff)
                         self.world.overlap.record("retry_backoff", backoff, 0.0)
                     self.comm_retries += 1
                     attempt += 1

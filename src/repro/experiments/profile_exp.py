@@ -52,7 +52,7 @@ def run_table5(
     """Table V: per-stage time profile of a K-FAC update step.
 
     With ``pipelined=True`` two extra columns report the *exposed*
-    (non-overlapped) communication once the async engine hides chunked
+    (non-overlapped) communication once the pipelined schedule hides chunked
     transfers behind compute — the SPD-KFAC-style savings the synchronous
     drivers leave on the table.  The factor-stage wire payload is reported
     for both the full-matrix exchange and the triangular-packed fast path

@@ -109,6 +109,21 @@ class Gauge:
         """Current value of one labeled series (0 if never set)."""
         return self._values.get(_label_key(labels), 0.0)
 
+    def by(self, label: str) -> dict[str, float]:
+        """``{label_value: value}`` over the series keyed by ``label`` alone.
+
+        >>> g = Gauge("comm.bytes")
+        >>> g.set(2.0, phase="eig_comm"); g.set(1.0, phase="factor_comm")
+        >>> g.by("phase")
+        {'eig_comm': 2.0, 'factor_comm': 1.0}
+        """
+        prefix = f"{label}="
+        return {
+            key[len(prefix):]: v
+            for key, v in sorted(self._values.items())
+            if key.startswith(prefix) and "," not in key
+        }
+
     def snapshot(self) -> dict[str, float]:
         """``{label_key: value}`` for every series."""
         return dict(sorted(self._values.items()))
@@ -238,7 +253,7 @@ class MetricsRegistry:
         True
         """
         exposed = self.gauge("comm.exposed_seconds")
-        for phase, seconds in world.timers.as_dict().items():
+        for phase, seconds in sorted(world.overlap.exposed_by_phase.items()):
             exposed.set(seconds, phase=phase)
         hidden = self.gauge("comm.hidden_seconds")
         for phase, h in sorted(world.overlap.hidden_by_phase.items()):

@@ -1,7 +1,7 @@
 """Typed per-rank span tracing on the simulated clock.
 
 The simulation charges every collective, every scheduled task, and every
-injected fault to per-phase *ledgers* (``TimerRegistry``,
+injected fault to the world's per-phase comm *ledger* (``CommStats``,
 ``OverlapStats``) — post-hoc scalar aggregates.  This module records the
 same events as **typed spans** on a per-rank simulated timeline, so
 tests and tools can ask *what actually happened, in what order, on which

@@ -24,9 +24,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.comm.backend import World
-from repro.comm.engine import CommEngine, task_overlap_profile
+from repro.comm.backend import World, task_overlap_profile
 from repro.comm.faults import FaultPlan, RetryPolicy
+from repro.comm.fusion import FusionBuffer
 from repro.core.distributed import PhaseController
 from repro.core.preconditioner import KFAC, KFACHyperParams
 from repro.data.loader import batch_iterator
@@ -128,7 +128,7 @@ class TrainingHistory:
 
     ``comm_seconds`` holds *exposed* (critical-path) simulated seconds per
     phase; ``comm_hidden_seconds`` the portion masked behind local compute
-    by the pipelined engine (zero for fully synchronous runs).
+    by the pipelined graph scheduler (zero for fully synchronous runs).
     ``comm_bytes`` counts the true fused payload per phase — what actually
     crossed the (simulated) wire after fusion, not per-tensor bookkeeping.
 
@@ -148,7 +148,7 @@ class TrainingHistory:
     comm_hidden_seconds: dict[str, float] = field(default_factory=dict)
     #: exposed/hidden seconds keyed by scheduler task kind (``FactorComm``,
     #: ``EigShare``, ``GradShare``, ``GradAllReduce``) — the per-task view
-    #: of the same overlap ledger (:func:`repro.comm.engine.task_overlap_profile`)
+    #: of the same overlap ledger (:func:`repro.comm.backend.task_overlap_profile`)
     comm_task_profile: dict[str, dict[str, float]] = field(default_factory=dict)
     comm_bytes: dict[str, float] = field(default_factory=dict)
     total_iterations: int = 0
@@ -312,14 +312,15 @@ class DataParallelTrainer:
             for r in range(config.world_size)
         ]
         self._param_names = [n for n, _ in self.replicas[0].named_parameters()]
-        # one persistent engine per trainer: the gradient fusion buffer
-        # lives for the whole run (capacity-respecting flushes across
-        # iterations) instead of being rebuilt every iteration
-        self.comm_engine = CommEngine(
-            self.world, bucket_bytes=config.fusion_capacity_bytes
-        )
-        self._grad_fusion = self.comm_engine.fusion(
-            op="average", phase="grad_allreduce", codec=self.policy.comm_dtype
+        # one persistent gradient fusion buffer for the whole run:
+        # capacity-respecting flushes carry across iterations instead of
+        # the buffer being rebuilt every iteration
+        self._grad_fusion = FusionBuffer(
+            self.world,
+            capacity_bytes=config.fusion_capacity_bytes,
+            op="average",
+            phase="grad_allreduce",
+            codec=self.policy.comm_dtype,
         )
         self.stopwatches = {
             name: Stopwatch() for name in ("io", "forward", "backward", "exchange", "update")
@@ -501,19 +502,19 @@ class DataParallelTrainer:
                 )
         history.total_iterations = global_step
         history.phase_seconds = {k: sw.total for k, sw in self.stopwatches.items()}
-        history.comm_seconds = self.world.timers.as_dict()
-        history.comm_hidden_seconds = {
-            p: h for p, h in self.world.overlap.hidden_by_phase.items() if h > 0.0
-        }
-        history.comm_task_profile = task_overlap_profile(self.world.overlap)
-        history.comm_bytes = dict(self.world.stats.bytes_by_phase)
         history.grad_fusion_flushes = self._grad_fusion.flush_count
         history.precision = self.policy.name
-        # unified registry pull: the scalar ledger fields below are read
-        # back out of the registry so history and metrics cannot diverge
+        # unified registry pull: the comm and scalar ledger fields below
+        # are read back out of the registry so history and metrics cannot
+        # diverge
         registry = MetricsRegistry()
         registry.collect_training_run(self)
         history.metrics = registry.snapshot()
+        history.comm_seconds = registry.gauge("comm.exposed_seconds").by("phase")
+        hidden = registry.gauge("comm.hidden_seconds").by("phase")
+        history.comm_hidden_seconds = {p: h for p, h in hidden.items() if h > 0.0}
+        history.comm_task_profile = task_overlap_profile(history.comm_seconds, hidden)
+        history.comm_bytes = registry.gauge("comm.bytes").by("phase")
         history.amp_skipped_steps = int(
             registry.counter("amp.steps_skipped").total()
         )

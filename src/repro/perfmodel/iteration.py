@@ -736,9 +736,10 @@ class IterationModel:
     ) -> float:
         """Average per-iteration time including amortized K-FAC stages.
 
-        ``pipelined=True`` models the async engine: only the *exposed*
-        factor/eig communication (comm-opt strategy) contributes to the
-        critical path; the hidden remainder overlaps eigendecompositions.
+        ``pipelined=True`` models the launch/wait schedule: only the
+        *exposed* factor/eig communication (comm-opt strategy) contributes
+        to the critical path; the hidden remainder overlaps
+        eigendecompositions.
         ``symmetric=True`` applies the syrk compute and triangular-packed
         communication rates of the symmetry-aware fast path.
         ``precision`` applies the mixed-precision rates: Tensor-Core
@@ -987,7 +988,7 @@ class IterationModel:
         ``factor_tcomp`` is the covariance-GEMM time only, matching what
         Table V instruments (the capture overhead shows up in iteration
         times instead — see hardware.py notes).  With ``pipelined=True``
-        the exposed-communication fields reflect the async engine's
+        the exposed-communication fields reflect the pipelined schedule's
         overlap; otherwise they equal the synchronous costs.  With
         ``symmetric=True`` the profile uses the syrk compute rate and the
         triangular-packed allreduce payload.  ``precision="fp16"`` applies

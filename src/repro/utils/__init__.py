@@ -1,7 +1,7 @@
-"""Small shared utilities: RNG management, timers, tables, logging."""
+"""Small shared utilities: RNG management, a wall-clock stopwatch, tables, logging."""
 
 from repro.utils.rng import RngPool, seed_everything, spawn_rng
-from repro.utils.timer import Stopwatch, Timer, TimerRegistry
+from repro.utils.timer import Stopwatch
 from repro.utils.tables import format_series, format_table
 
 __all__ = [
@@ -9,8 +9,6 @@ __all__ = [
     "seed_everything",
     "spawn_rng",
     "Stopwatch",
-    "Timer",
-    "TimerRegistry",
     "format_table",
     "format_series",
 ]

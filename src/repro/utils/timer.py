@@ -1,24 +1,17 @@
-"""Lightweight timing instrumentation.
+"""Wall-clock timing instrumentation.
 
-Two layers:
-
-- :class:`Stopwatch` — wall-clock measurement of real code (used by the
-  training loop to report measured per-phase times, mirroring the paper's
-  Fig. 1 decomposition into I/O, forward, gradient evaluation, exchange,
-  update).
-- :class:`Timer` / :class:`TimerRegistry` — *accounted* (simulated) time.
-  The communication substrate and the performance model charge simulated
-  seconds to named phases; these never consult the real clock, so results
-  are machine-independent and deterministic.
+:class:`Stopwatch` measures real code (used by the training loop to report
+measured per-phase times, mirroring the paper's Fig. 1 decomposition into
+I/O, forward, gradient evaluation, exchange, update).  Simulated
+communication time is not measured here: the world's comm ledger
+(:class:`repro.comm.backend.OverlapStats`) accounts it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "Timer", "TimerRegistry"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -57,88 +50,3 @@ class Stopwatch:
     def reset(self) -> None:
         self.total = 0.0
         self.count = 0
-
-
-@dataclass
-class Timer:
-    """An accounted-time accumulator for one named phase.
-
-    Example
-    -------
-    >>> from repro.utils.timer import Timer
-    >>> t = Timer("factor_comm")
-    >>> t.charge(0.25); t.charge(0.75)
-    >>> t.total, t.mean
-    (1.0, 0.5)
-    """
-
-    name: str
-    total: float = 0.0
-    count: int = 0
-
-    def charge(self, seconds: float) -> None:
-        """Add ``seconds`` of simulated time to this phase."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
-        self.total += seconds
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
-class TimerRegistry:
-    """A registry of accounted-time phases, keyed by name.
-
-    Used by the simulated collectives and the performance model to attribute
-    simulated seconds to phases like ``grad_allreduce``, ``factor_comm``,
-    ``eig_compute`` — the same breakdown the paper reports in Table V.
-
-    Example
-    -------
-    >>> from repro.utils.timer import TimerRegistry
-    >>> reg = TimerRegistry()
-    >>> reg.charge("grad_allreduce", 0.1); reg.charge("factor_comm", 0.2)
-    >>> reg.as_dict()
-    {'factor_comm': 0.2, 'grad_allreduce': 0.1}
-    >>> round(reg.grand_total(), 10)
-    0.3
-    """
-
-    timers: dict[str, Timer] = field(default_factory=dict)
-
-    def charge(self, name: str, seconds: float) -> None:
-        self.get(name).charge(seconds)
-
-    def get(self, name: str) -> Timer:
-        if name not in self.timers:
-            self.timers[name] = Timer(name)
-        return self.timers[name]
-
-    def total(self, name: str) -> float:
-        """Total accounted seconds for phase ``name`` (0 if absent)."""
-        return self.timers[name].total if name in self.timers else 0.0
-
-    def grand_total(self) -> float:
-        return sum(t.total for t in self.timers.values())
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: t.total for name, t in sorted(self.timers.items())}
-
-    def reset(self) -> None:
-        self.timers.clear()
-
-    def merged_with(self, other: "TimerRegistry") -> "TimerRegistry":
-        """Return a new registry with per-phase totals summed."""
-        out = TimerRegistry()
-        totals: dict[str, float] = defaultdict(float)
-        counts: dict[str, int] = defaultdict(int)
-        for reg in (self, other):
-            for name, t in reg.timers.items():
-                totals[name] += t.total
-                counts[name] += t.count
-        for name in totals:
-            out.timers[name] = Timer(name, totals[name], counts[name])
-        return out

@@ -157,7 +157,7 @@ class TestWorldFaultGate:
         world.fault_plan = FaultPlan(jitter=(ComputeJitter(rank=1, seconds=0.25),))
         world.begin_step(0)
         world.allreduce([np.ones(4, np.float32), np.ones(4, np.float32)])
-        assert world.timers.as_dict()["allreduce"] >= 0.25
+        assert world.overlap.exposed("allreduce") >= 0.25
 
     def test_spmd_lockstep_failure_and_rewait_retry(self):
         """Every member observes the same failure; re-waiting re-posts."""

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.backend import World
-from repro.comm.engine import symmetric_payload_nbytes
+from repro.comm.engine import partition_buckets
 from repro.comm.fusion import tri_len, tri_pack, tri_unpack
 from repro.core.comm_ops import AllReduceLaunch, pack_symmetric, unpack_symmetric
 from repro.core.distributed import PhaseController
@@ -180,8 +180,13 @@ class TestTriPack:
         with pytest.raises(ValueError):
             unpack_symmetric(flats, [3])
 
-    def test_symmetric_payload_nbytes(self):
-        assert symmetric_payload_nbytes([3, 8], itemsize=4) == [24, 144]
+    def test_packed_payload_bytes_drive_bucketing(self):
+        """Triangular packing ships d*(d+1)/2 elements per factor, and the
+        packed sizes are what the pipeline chunking partitions."""
+        mats = [_random_symmetric(d, np.float32, d) for d in (3, 8, 4)]
+        nbytes = [f.nbytes for f in pack_symmetric(mats)]
+        assert nbytes == [tri_len(d) * 4 for d in (3, 8, 4)] == [24, 144, 40]
+        assert partition_buckets(nbytes, bucket_bytes=168) == [[0, 1], [2]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ paper's two strategies:
 3. the communication profile interpolates: eigenbasis-share bytes shrink
    and second-stage broadcast bytes grow as ``f`` decreases, with the
    endpoints matching the existing strategies' phase sets;
-4. the threaded SPMD driver and the pipelined engine agree with the
+4. the threaded SPMD driver and the pipelined graph scheduler agree with the
    lockstep phase driver.
 """
 

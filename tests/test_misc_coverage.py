@@ -7,17 +7,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.comm.handles import DeferredHandle, ImmediateHandle
+from repro.comm.handles import DeferredHandle, InFlightHandle, LaunchedHandle
 from repro.tensor.dtypes import DEFAULT_DTYPE
 from repro.tensor.initializers import kaiming_normal, kaiming_uniform, xavier_uniform, zeros_init
 from repro.utils.logging import NULL_LOGGER, Logger
 
 
 class TestHandles:
-    def test_immediate(self):
-        h = ImmediateHandle(42)
-        assert h.done() and h.wait() == 42
-
     def test_deferred_runs_once(self):
         calls = []
         h = DeferredHandle(lambda: calls.append(1) or len(calls))
@@ -25,6 +21,22 @@ class TestHandles:
         assert h.wait() == 1
         assert h.wait() == 1  # cached
         assert calls == [1]
+
+    def test_in_flight_settles_once_with_first_budget(self):
+        budgets = []
+        h = InFlightHandle("result", 2.0, budgets.append)
+        assert not h.done() and h.comm_seconds == 2.0
+        assert h.wait(overlap_seconds=0.5) == "result"
+        assert h.wait(overlap_seconds=9.0) == "result"
+        assert h.done() and budgets == [0.5]
+
+    def test_launched_forwards_budget_once(self):
+        budgets = []
+        h = LaunchedHandle(lambda ov: budgets.append(ov) or len(budgets))
+        assert not h.done()
+        assert h.wait(overlap_seconds=0.25) == 1
+        assert h.wait() == 1  # cached; the post is not repeated
+        assert h.done() and budgets == [0.25]
 
 
 class TestLogger:

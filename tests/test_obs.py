@@ -27,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.backend import OverlapStats, World
-from repro.comm.engine import task_overlap_profile
+from repro.comm.backend import OverlapStats, World, task_overlap_profile
 from repro.comm.faults import (
     CollectiveFailure,
     ComputeJitter,
@@ -213,6 +212,11 @@ class TestLockstepDeterminism:
 
 def _train(tracer=None, fault_plan=None, retry_policy=RetryPolicy()):
     """One P=4 HYBRID f=0.5 graph-scheduler training epoch (tiny CNN)."""
+    return _trainer(tracer, fault_plan, retry_policy).train()
+
+
+def _trainer(tracer=None, fault_plan=None, retry_policy=RetryPolicy()):
+    """The (untrained) trainer behind :func:`_train`."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(64, 1, 8, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=64).astype(np.int64)
@@ -229,11 +233,10 @@ def _train(tracer=None, fault_plan=None, retry_policy=RetryPolicy()):
         fault_plan=fault_plan,
         retry_policy=retry_policy,
     )
-    trainer = DataParallelTrainer(
+    return DataParallelTrainer(
         model_factory=lambda r: build_tiny_cnn(seed=5),
         train_x=x, train_y=y, val_x=x[:16], val_y=y[:16], config=cfg,
     )
-    return trainer.train()
 
 
 class TestTracedTraining:
@@ -313,7 +316,7 @@ class TestTracedTraining:
 
 class TestTaskOverlapProfile:
     def test_all_task_kinds_present_when_empty(self):
-        profile = task_overlap_profile(OverlapStats())
+        profile = task_overlap_profile({}, {})
         assert sorted(profile) == [
             "EigShare", "FactorComm", "GradAllReduce", "GradShare",
         ]
@@ -325,7 +328,7 @@ class TestTaskOverlapProfile:
         stats = OverlapStats()
         stats.record("factor_comm", exposed=0.25, hidden=0.5)
         stats.record("grad_allreduce", exposed=1.0, hidden=0.0)
-        profile = task_overlap_profile(stats)
+        profile = task_overlap_profile(stats.exposed_by_phase, stats.hidden_by_phase)
         assert profile["FactorComm"] == {"exposed": 0.25, "hidden": 0.5}
         assert profile["GradAllReduce"]["exposed"] == 1.0
         assert profile["EigShare"] == {"exposed": 0.0, "hidden": 0.0}
@@ -371,14 +374,52 @@ class TestMetricsRegistry:
         reg.collect_world(world)
         assert reg.gauge("comm.exposed_seconds").value(
             phase="grad_allreduce"
-        ) == world.timers.as_dict()["grad_allreduce"]
+        ) == world.overlap.exposed("grad_allreduce")
         assert reg.gauge("comm.bytes").value(
             phase="grad_allreduce"
         ) == world.stats.bytes_by_phase["grad_allreduce"]
 
-    def test_history_metrics_snapshot_is_the_single_source(self):
-        """The history's scalar ledger fields round-trip the registry."""
-        history = _train()
+    def test_gauge_by_reads_single_label_series(self):
+        reg = MetricsRegistry()
+        g = reg.gauge("g")
+        g.set(2.0, phase="b")
+        g.set(1.0, phase="a")
+        g.set(5.0, rank=0)  # other label: not a phase series
+        g.set(7.0, phase="a", rank=1)  # multi-label: not a phase series
+        g.set(9.0)  # unlabeled
+        assert g.by("phase") == {"a": 1.0, "b": 2.0}
+        assert list(g.by("phase")) == ["a", "b"]
+        assert g.by("rank") == {"0": 5.0}
+        assert g.by("missing") == {}
+
+    def test_collect_world_reads_hidden_seconds_and_ops(self):
+        world = World(2)
+        bufs = [np.ones(64, dtype=np.float32) for _ in range(2)]
+        world.allreduce_async(bufs, phase="factor_comm").wait(overlap_seconds=1e9)
+        world.allreduce(bufs, phase="factor_comm")
+        reg = MetricsRegistry()
+        reg.collect_world(world)
+        assert reg.gauge("comm.hidden_seconds").by("phase") == {
+            "factor_comm": world.overlap.hidden("factor_comm")
+        }
+        assert world.overlap.hidden("factor_comm") > 0.0
+        assert reg.gauge("comm.exposed_seconds").by("phase") == {
+            "factor_comm": world.overlap.exposed("factor_comm")
+        }
+        assert reg.counter("comm.ops").value(phase="factor_comm") == 2.0
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_history_metrics_snapshot_is_the_single_source(self, faulted):
+        """The history's comm and scalar ledger fields round-trip the
+        registry, and equal the world's one ledger bitwise."""
+        plan = None
+        if faulted:
+            plan = FaultPlan(
+                failures=(CollectiveFailure(phase="factor_comm", step=1, count=1),)
+            )
+        trainer = _trainer(fault_plan=plan)
+        history = trainer.train()
+        world = trainer.world
         snap = history.metrics
         assert sorted(snap) == ["counters", "gauges", "histograms"]
         assert "kfac.steps" in snap["counters"]
@@ -387,6 +428,27 @@ class TestMetricsRegistry:
         for phase, seconds in history.comm_seconds.items():
             assert exposed[f"phase={phase}"] == seconds
         assert history.final_loss_scale == snap["gauges"]["amp.loss_scale"][""]
+
+        def hexed(d):
+            return {k: float(v).hex() for k, v in d.items()}
+
+        overlap, stats = world.overlap, world.stats
+        assert hexed(history.comm_seconds) == hexed(overlap.exposed_by_phase)
+        assert hexed(history.comm_hidden_seconds) == hexed(
+            {p: h for p, h in overlap.hidden_by_phase.items() if h > 0.0}
+        )
+        assert history.comm_hidden_seconds  # the graph plan hides some comm
+        assert hexed(history.comm_bytes) == hexed(stats.bytes_by_phase)
+        assert snap["counters"]["comm.ops"] == {
+            f"phase={p}": float(n) for p, n in sorted(stats.ops_by_phase.items())
+        }
+        assert history.comm_task_profile == task_overlap_profile(
+            overlap.exposed_by_phase, overlap.hidden_by_phase
+        )
+        assert ("retry_backoff" in history.comm_seconds) == faulted
+        if faulted:
+            assert history.comm_retries == 1
+            assert history.comm_seconds["retry_backoff"] > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,8 @@ class TestTraining:
         """One fusion buffer per trainer, reused across iterations."""
         tr = make_trainer(small_data, world_size=2, epochs=1)
         fusion_before = tr._grad_fusion
-        assert tr.comm_engine.fusion(op="average", phase="grad_allreduce") is fusion_before
+        assert fusion_before.capacity_bytes == tr.config.fusion_capacity_bytes
+        assert fusion_before.phase == "grad_allreduce"
         hist = tr.train()
         assert tr._grad_fusion is fusion_before  # never rebuilt
         # at least one flush per iteration (capacity may force more)
@@ -75,6 +76,15 @@ class TestTraining:
         assert hist.comm_bytes["grad_allreduce"] == tr._grad_fusion.bytes_flushed
         grad_bytes = sum(p.grad.nbytes for p in tr.replicas[0].parameters())
         assert hist.comm_bytes["grad_allreduce"] == grad_bytes * hist.total_iterations
+
+    def test_invalid_fusion_capacity_rejected(self, small_data):
+        tx, ty, vx, vy = small_data
+        cfg = TrainerConfig(
+            world_size=2, batch_size=16, epochs=1,
+            lr_schedule=ConstantSchedule(0.05), fusion_capacity_bytes=0,
+        )
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            DataParallelTrainer(factory, tx, ty, vx, vy, cfg)
 
     def test_small_capacity_flushes_mid_iteration(self, small_data):
         tx, ty, vx, vy = small_data

@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.rng import RngPool, seed_everything, spawn_rng
 from repro.utils.tables import format_series, format_table
-from repro.utils.timer import Stopwatch, Timer, TimerRegistry
+from repro.utils.timer import Stopwatch
 
 
 class TestRng:
@@ -59,32 +59,14 @@ class TestTimers:
         sw.reset()
         assert sw.count == 0
 
-    def test_timer_charge(self):
-        t = Timer("x")
-        t.charge(1.5)
-        t.charge(0.5)
-        assert t.total == 2.0 and t.mean == 1.0
-
-    def test_timer_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Timer("x").charge(-1)
-
-    def test_registry(self):
-        reg = TimerRegistry()
-        reg.charge("a", 1.0)
-        reg.charge("b", 2.0)
-        reg.charge("a", 1.0)
-        assert reg.total("a") == 2.0
-        assert reg.grand_total() == 4.0
-        assert reg.as_dict() == {"a": 2.0, "b": 2.0}
-
-    def test_registry_merge(self):
-        a, b = TimerRegistry(), TimerRegistry()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 3.0)
-        merged = a.merged_with(b)
-        assert merged.total("x") == 3.0 and merged.total("y") == 3.0
+    def test_stopwatch_mean(self):
+        sw = Stopwatch()
+        assert sw.mean == 0.0  # never used
+        for _ in range(3):
+            with sw:
+                sum(range(100))
+        assert sw.count == 3
+        assert sw.mean == sw.total / 3 > 0.0
 
 
 class TestTables:
